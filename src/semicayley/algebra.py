@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .graphs import ColoredMultiDigraph, Digraph, SimpleGraph
 
 __all__ = [
@@ -87,6 +85,8 @@ def validate_table(t: MulTable) -> Optional[TableViolation]:
     n = t.order
     rows = t.rows
     if n >= _NUMPY_VALIDATE_MIN:
+        import numpy as np
+
         arr = np.array(rows, dtype=np.int32)
         for a in range(n):
             lhs = arr[arr[a], :]           # (a*b)*c over all b, c

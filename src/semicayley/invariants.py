@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .graphs import Digraph, SimpleGraph, _MaxFlow, weak_components
 
 __all__ = [
@@ -290,6 +288,8 @@ class SpectralProfile:
 
 
 def spectrum(g: SimpleGraph) -> SpectralProfile:
+    import numpy as np
+
     a = np.zeros((g.order, g.order))
     for u, v in g.edges:
         a[u, v] = a[v, u] = 1.0

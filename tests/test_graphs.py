@@ -3,18 +3,26 @@
 Class counts are frozen below and recomputed by an independent
 orbit-counting oracle (Burnside's lemma over vertex permutations), so
 the enumeration never checks itself against its own canonical form.
+Canonical keys are checked against a brute-force minimiser over every
+vertex permutation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph, petersen
+import semicayley
 from semicayley import (
     Digraph,
     GraphFormatError,
@@ -24,6 +32,7 @@ from semicayley import (
     format_graph,
     parse_graph,
 )
+from semicayley.families import gen_K4_Cl, looped_path_digraph
 from semicayley.graphs import (
     is_strongly_connected,
     strong_connectivity,
@@ -181,6 +190,160 @@ def test_canonical_form_separates_nonisomorphic():
     a = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     b = Digraph(3, [(0, 1), (1, 0), (2, 2)])
     assert canonical_form(a) != canonical_form(b)
+
+
+def _matrix(g) -> list:
+    n = g.order
+    m = [["0"] * n for _ in range(n)]
+    pairs = g.arcs if isinstance(g, Digraph) else g.edges
+    for u, v in pairs:
+        m[u][v] = "1"
+        if isinstance(g, SimpleGraph):
+            m[v][u] = "1"
+    return m
+
+
+def _pack(bits: str) -> bytes:
+    """Bit string to bytes, first bit highest, last byte padded with 0s."""
+    pad = -len(bits) % 8
+    return (int(bits, 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+
+
+def _row_major(m, perm) -> str:
+    return "".join("".join(m[a][b] for b in perm) for a in perm)
+
+
+def brute_canonical_form(g) -> bytes:
+    """Oracle: least row-major adjacency bit string over every vertex
+    permutation, with canonical_form's order and carrier prefix."""
+    m = _matrix(g)
+    least = min(_row_major(m, p) for p in itertools.permutations(range(g.order)))
+    kind = b"D" if isinstance(g, Digraph) else b"U"
+    return bytes([g.order]) + kind + _pack(least)
+
+
+def _brute_is_self_canonical(g) -> bool:
+    return brute_canonical_form(g)[2:] == _pack(_row_major(_matrix(g), range(g.order)))
+
+
+def _labelled_simple(n: int):
+    """Every labelled simple graph, in enumerate_graphs's scan order."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield SimpleGraph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def _labelled_digraphs(n: int):
+    """Every labelled digraph, in enumerate_graphs's digraph-all scan order."""
+    sets = [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+    for choice in itertools.product(sets, repeat=n):
+        yield Digraph(n, [(u, v) for u in range(n) for v in choice[u]])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_canonical_form_matches_brute_force_on_every_simple_graph(n):
+    for g in _labelled_simple(n):
+        assert canonical_form(g) == brute_canonical_form(g), sorted(g.edges)
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_canonical_form_matches_brute_force_on_every_digraph(n):
+    for g in _labelled_digraphs(n):
+        assert canonical_form(g) == brute_canonical_form(g), sorted(g.arcs)
+
+
+def test_canonical_form_matches_brute_force_on_a_twin_trap():
+    # 2 and 3 tie on row 0 and have no in-neighbours, but different
+    # out-neighbours; taking them for twins misses the least form
+    g = Digraph(4, [(0, 1), (1, 1), (2, 1), (3, 0)])
+    assert canonical_form(g) == brute_canonical_form(g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_canonical_form_matches_brute_force_on_larger_graphs(data):
+    n = data.draw(st.integers(6, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if data.draw(st.booleans()):
+        g = Digraph(n, data.draw(st.sets(pairs, max_size=n * n)))
+    else:
+        g = SimpleGraph(n, data.draw(st.sets(
+            pairs.filter(lambda e: e[0] != e[1]), max_size=n * (n - 1) // 2)))
+    assert canonical_form(g) == brute_canonical_form(g)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_simple_enumeration_is_the_brute_force_filtered_stream(n):
+    expected = [g for g in _labelled_simple(n) if _brute_is_self_canonical(g)]
+    assert list(enumerate_graphs(n, "simple")) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_digraph_enumeration_is_the_brute_force_filtered_stream(n):
+    expected = [g for g in _labelled_digraphs(n) if _brute_is_self_canonical(g)]
+    assert list(enumerate_graphs(n, "digraph-all")) == expected
+
+
+@pytest.mark.parametrize("g,key", [
+    (cycle_graph(4), "045533cc"),
+    (gen_K4_Cl(5), "0955018147058341c10504c000"),
+    (petersen(), "0a5501c190a8343054261248a43200"),
+    (looped_path_digraph(), "03447a80"),
+])
+def test_canonical_keys_are_pinned(g, key):
+    assert canonical_form(g).hex() == key
+
+
+# highly symmetric graphs at the canonical_form order cap: many vertices tie
+# at every level, and the empty, complete, matching and looped ones consist
+# of twins
+SYMMETRIC_10 = {
+    "empty": SimpleGraph(10),
+    "complete": complete_graph(10),
+    "C10": cycle_graph(10),
+    "petersen": petersen(),
+    "5K2": SimpleGraph(10, [(2 * i, 2 * i + 1) for i in range(5)]),
+    "2C5": SimpleGraph(10, [(c + i, c + (i + 1) % 5)
+                            for c in (0, 5) for i in range(5)]),
+    "directed C10": Digraph(10, [(i, (i + 1) % 10) for i in range(10)]),
+    "10 loops": Digraph(10, [(i, i) for i in range(10)]),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_10)
+def test_canonical_form_is_relabelling_invariant_at_order_cap(name):
+    g = SYMMETRIC_10[name]
+    key = canonical_form(g)
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = list(range(10))
+        rng.shuffle(perm)
+        relabel = _apply_perm_digraph if isinstance(g, Digraph) else _apply_perm_simple
+        assert canonical_form(relabel(g, perm)) == key
+
+
+def test_symmetric_graphs_at_order_cap_get_distinct_keys():
+    keys = {canonical_form(g) for g in SYMMETRIC_10.values()}
+    assert len(keys) == len(SYMMETRIC_10)
+
+
+@pytest.mark.slow
+def test_order_7_simple_enumeration_count():
+    assert sum(1 for _ in enumerate_graphs(7, "simple")) == 1044
+    assert orbit_count_simple(7) == 1044
+
+
+def test_import_leaves_numpy_unloaded():
+    """numpy serves only spectra and tables of order >= 64, so importing the
+    package must not pay for it."""
+    package_root = str(Path(semicayley.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = "import sys, semicayley; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_weak_components():
