@@ -52,6 +52,7 @@ from .embed import (
     greedy_cover,
 )
 from .recognize import (
+    WitnessCheckError,
     classify_all,
     recognize_monoid_digraph,
     recognize_monoid_graph,
@@ -87,6 +88,7 @@ __all__ = [
     "TableFormatError",
     "TreeVerdict",
     "WITNESS",
+    "WitnessCheckError",
     "arboricity",
     "beta",
     "canonical_form",

@@ -157,6 +157,19 @@ class _TableSolver:
     Each assignment propagates every associativity triple it completes,
     via occurrence lists keyed by cell value, and updates per-row arc
     coverage counters whose infeasibility prunes the branch.
+
+    ``__init__`` tabulates everything the hot path asks of the graph:
+    which columns are connection columns, a boolean matrix ``ok`` (arc
+    x -> y for a directed carrier; y adjacent to or equal to x for an
+    undirected one) read by the value and endomorphism-row checks, the
+    sorted candidate values of each connection row, and, undirected,
+    dense edge ids with list counters for the edge-coverage rule.
+
+    ``search`` is a loop over an explicit stack with one frame per
+    branching cell: the cell's index in the order, an iterator over its
+    untried candidate values, and the trail length to undo to before the
+    next one.  It visits the nodes a recursive depth-first search would,
+    in the same order, without a depth limit.
     """
 
     def __init__(
@@ -174,199 +187,219 @@ class _TableSolver:
     ):
         self.n = n
         self.conn = tuple(connection)
-        self.conn_set = frozenset(connection)
         self.budget = budget
-        self.out_sets = out_sets
-        self.adj_sets = adj_sets
         self.identity = identity
-        self.injective_rows = injective_rows
         self.column_prunes = column_prunes
         self.leaf_check = leaf_check
         self.table = [[-1] * n for _ in range(n)]
         self.occ: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        self.row_vals = [set() for _ in range(n)]
         self.trail: List[Tuple[int, int]] = []
-        self.queue: List[Tuple[int, int, int]] = []
-        if out_sets is not None:
+        # row_used[a][v]: v occurs in row a; kept only for injective rows
+        self.row_used = [[False] * n for _ in range(n)] if injective_rows else None
+        self.is_conn = [False] * n
+        for c in self.conn:
+            self.is_conn[c] = True
+        self.col_remaining = [n] * n
+        self.directed = out_sets is not None
+        self.ok = ok = [[False] * n for _ in range(n)]
+        if self.directed:
             # directed carrier: row x must cover N+(x) exactly
+            self.out_nbrs = [sorted(s) for s in out_sets]
+            self.in_nbrs: List[List[int]] = [[] for _ in range(n)]
+            for x in range(n):
+                for y in self.out_nbrs[x]:
+                    ok[x][y] = True
+                    self.in_nbrs[y].append(x)
+            self.conn_vals = self.out_nbrs
             self.remaining = [len(self.conn)] * n
-            self.uncovered = [len(out_sets[x]) for x in range(n)]
+            self.uncovered = [len(s) for s in out_sets]
             self.cover_count = [[0] * n for _ in range(n)]
-        if adj_sets is not None:
+        else:
             # undirected carrier: each edge needs an arc in some direction
-            self.edge_cov: Dict[Tuple[int, int], int] = {}
-            self.edge_pot: Dict[Tuple[int, int], int] = {}
-            for u in range(n):
-                for v in adj_sets[u]:
-                    if u < v:
-                        self.edge_cov[(u, v)] = 0
-                        self.edge_pot[(u, v)] = 2 * len(self.conn)
-        self.col_remaining = {c: n for c in self.conn_set}
+            self.out_nbrs = [sorted(s) for s in adj_sets]
+            self.nbr_e: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+            edges = 0
+            for x in range(n):
+                ok[x][x] = True
+                for y in self.out_nbrs[x]:
+                    ok[x][y] = True
+                    if x < y:
+                        self.nbr_e[x].append((y, edges))
+                        self.nbr_e[y].append((x, edges))
+                        edges += 1
+            self.conn_vals = [sorted(adj_sets[x] | {x}) for x in range(n)]
+            self.ecov = [0] * edges
+            self.epot = [2 * len(self.conn)] * edges
+        free = [b for b in range(n) if not self.is_conn[b]]
         conn_cells = [(x, c) for x in range(n) for c in self.conn]
-        rest = [
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if b not in self.conn_set
-        ]
+        rest = [(a, b) for a in range(n) for b in free]
         self.order = conn_cells + rest
 
     # -- assignment / undo ------------------------------------------------
 
-    def _value_allowed(self, a: int, b: int, v: int) -> bool:
-        if b in self.conn_set:
-            if self.out_sets is not None and v not in self.out_sets[a]:
-                return False
-            if self.adj_sets is not None and v != a and v not in self.adj_sets[a]:
-                return False
-        if self.injective_rows and v in self.row_vals[a]:
-            return False
-        return True
-
-    def _endo_row_ok(self, a: int, u: int, w: int) -> bool:
-        """Left translation by a must be an endomorphism: check arcs at u."""
-        T = self.table
-        if self.out_sets is not None:
-            for y in self.out_sets[u]:
-                z = T[a][y]
-                if z >= 0 and z not in self.out_sets[w]:
-                    return False
-            for y in range(self.n):
-                if u in self.out_sets[y]:
-                    z = T[a][y]
-                    if z >= 0 and w not in self.out_sets[z]:
-                        return False
-        else:
-            for y in self.adj_sets[u]:
-                z = T[a][y]
-                if z >= 0 and z != w and z not in self.adj_sets[w]:
-                    return False
-        return True
-
-    def _assign(self, a: int, b: int, v: int) -> bool:
-        """Commit one cell.  On False the caller must undo to its mark."""
-        if not self._value_allowed(a, b, v):
-            return False
-        if not self._endo_row_ok(a, b, v):
-            return False
-        T = self.table
-        T[a][b] = v
-        self.occ[v].append((a, b))
-        self.row_vals[a].add(v)
-        self.trail.append((a, b))
-        if b in self.conn_set:
-            # complete every counter update before failing so that undo_to
-            # is an exact inverse of this block
-            dead = False
-            if self.out_sets is not None:
-                self.remaining[a] -= 1
-                self.cover_count[a][v] += 1
-                if self.cover_count[a][v] == 1:
-                    self.uncovered[a] -= 1
-                if self.uncovered[a] > self.remaining[a]:
-                    dead = True
-            if self.adj_sets is not None:
-                for y in self.adj_sets[a]:
-                    key = (a, y) if a < y else (y, a)
-                    self.edge_pot[key] -= 1
-                    if v == y:
-                        self.edge_cov[key] += 1
-                    if self.edge_pot[key] == 0 and self.edge_cov[key] == 0:
-                        dead = True
-            self.col_remaining[b] -= 1
-            if dead:
-                return False
-            if self.col_remaining[b] == 0 and self.column_prunes:
-                succ = [T[x][b] for x in range(self.n)]
-                if not _column_admissible(succ, self.identity):
-                    return False
-        # associativity propagation: four roles of the new cell
-        n = self.n
-        queue = self.queue
-        for c in range(n):
-            w = T[b][c]
-            if w >= 0:
-                lhs = T[v][c]
-                rhs = T[a][w]
-                if lhs >= 0 and rhs >= 0:
-                    if lhs != rhs:
-                        return False
-                elif lhs >= 0:
-                    queue.append((a, w, lhs))
-                elif rhs >= 0:
-                    queue.append((v, c, rhs))
-            w = T[c][a]
-            if w >= 0:
-                lhs = T[w][b]
-                rhs = T[c][v]
-                if lhs >= 0 and rhs >= 0:
-                    if lhs != rhs:
-                        return False
-                elif lhs >= 0:
-                    queue.append((c, v, lhs))
-                elif rhs >= 0:
-                    queue.append((w, b, rhs))
-        for (x, y) in self.occ[a]:
-            if x == a and y == b:
-                continue
-            w = T[y][b]
-            if w >= 0:
-                z = T[x][w]
-                if z >= 0:
-                    if z != v:
-                        return False
-                else:
-                    queue.append((x, w, v))
-        for (y, z) in self.occ[b]:
-            if y == a and z == b:
-                continue
-            w = T[a][y]
-            if w >= 0:
-                u = T[w][z]
-                if u >= 0:
-                    if u != v:
-                        return False
-                else:
-                    queue.append((w, z, v))
-        return True
-
     def assign_propagate(self, a: int, b: int, v: int) -> bool:
-        """Assign one cell and drain all forced consequences."""
-        self.queue.clear()
-        ok = self._assign(a, b, v)
-        while ok and self.queue:
-            x, y, w = self.queue.pop()
-            cur = self.table[x][y]
-            if cur == w:
-                continue
+        """Assign the open cell (a, b) := v and drain all forced consequences.
+
+        Forced cells are queued and popped last in, first out.  On False
+        the caller must undo to its trail mark.
+        """
+        n = self.n
+        T = self.table
+        occ = self.occ
+        trail = self.trail
+        is_conn = self.is_conn
+        ok = self.ok
+        out_nbrs = self.out_nbrs
+        row_used = self.row_used
+        col_remaining = self.col_remaining
+        directed = self.directed
+        if directed:
+            in_nbrs = self.in_nbrs
+            remaining = self.remaining
+            uncovered = self.uncovered
+            cover_count = self.cover_count
+        else:
+            nbr_e = self.nbr_e
+            ecov = self.ecov
+            epot = self.epot
+        queue = [(a, b, v)]
+        pop = queue.pop
+        push = queue.append
+        while queue:
+            a, b, v = pop()
+            Ta = T[a]
+            cur = Ta[b]
             if cur >= 0:
-                ok = False
-            else:
-                ok = self._assign(x, y, w)
-        if not ok:
-            self.queue.clear()
-        return ok
+                if cur != v:
+                    return False
+                continue
+            conn = is_conn[b]
+            if conn and not ok[a][v]:
+                return False
+            if row_used is not None and row_used[a][v]:
+                return False
+            # left translation by a must be an endomorphism: arcs at b
+            ok_v = ok[v]
+            for y in out_nbrs[b]:
+                z = Ta[y]
+                if z >= 0 and not ok_v[z]:
+                    return False
+            if directed:
+                for y in in_nbrs[b]:
+                    z = Ta[y]
+                    if z >= 0 and not ok[z][v]:
+                        return False
+            Ta[b] = v
+            occ[v].append((a, b))
+            if row_used is not None:
+                row_used[a][v] = True
+            trail.append((a, b))
+            if conn:
+                # complete every counter update before failing so that
+                # undo_to is an exact inverse of this block
+                if directed:
+                    remaining[a] -= 1
+                    cc = cover_count[a]
+                    cc[v] += 1
+                    if cc[v] == 1:
+                        uncovered[a] -= 1
+                    dead = uncovered[a] > remaining[a]
+                else:
+                    dead = False
+                    for y, e in nbr_e[a]:
+                        epot[e] -= 1
+                        if v == y:
+                            ecov[e] += 1
+                        elif epot[e] == 0 and ecov[e] == 0:
+                            dead = True
+                col_remaining[b] -= 1
+                if dead:
+                    return False
+                if col_remaining[b] == 0 and self.column_prunes:
+                    if not _column_admissible([row[b] for row in T], self.identity):
+                        return False
+            # associativity propagation: four roles of the new cell
+            Tb = T[b]
+            Tv = T[v]
+            for c in range(n):
+                w = Tb[c]
+                if w >= 0:
+                    lhs = Tv[c]
+                    rhs = Ta[w]
+                    if lhs >= 0:
+                        if rhs >= 0:
+                            if lhs != rhs:
+                                return False
+                        else:
+                            push((a, w, lhs))
+                    elif rhs >= 0:
+                        push((v, c, rhs))
+                Tc = T[c]
+                w = Tc[a]
+                if w >= 0:
+                    lhs = T[w][b]
+                    rhs = Tc[v]
+                    if lhs >= 0:
+                        if rhs >= 0:
+                            if lhs != rhs:
+                                return False
+                        else:
+                            push((c, v, lhs))
+                    elif rhs >= 0:
+                        push((w, b, rhs))
+            for x, y in occ[a]:
+                if x == a and y == b:
+                    continue
+                w = T[y][b]
+                if w >= 0:
+                    z = T[x][w]
+                    if z >= 0:
+                        if z != v:
+                            return False
+                    else:
+                        push((x, w, v))
+            for y, z in occ[b]:
+                if y == a and z == b:
+                    continue
+                w = Ta[y]
+                if w >= 0:
+                    u = T[w][z]
+                    if u >= 0:
+                        if u != v:
+                            return False
+                    else:
+                        push((w, z, v))
+        return True
 
     def undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            a, b = self.trail.pop()
-            v = self.table[a][b]
-            self.table[a][b] = -1
-            self.occ[v].pop()
-            self.row_vals[a].discard(v)
-            if b in self.conn_set:
-                self.col_remaining[b] += 1
-                if self.out_sets is not None:
+        trail = self.trail
+        T = self.table
+        occ = self.occ
+        is_conn = self.is_conn
+        row_used = self.row_used
+        col_remaining = self.col_remaining
+        directed = self.directed
+        for _ in range(len(trail) - mark):
+            a, b = trail.pop()
+            Ta = T[a]
+            v = Ta[b]
+            Ta[b] = -1
+            occ[v].pop()
+            if row_used is not None:
+                row_used[a][v] = False
+            if is_conn[b]:
+                col_remaining[b] += 1
+                if directed:
                     self.remaining[a] += 1
-                    self.cover_count[a][v] -= 1
-                    if self.cover_count[a][v] == 0:
+                    cc = self.cover_count[a]
+                    cc[v] -= 1
+                    if cc[v] == 0:
                         self.uncovered[a] += 1
-                if self.adj_sets is not None:
-                    for y in self.adj_sets[a]:
-                        key = (a, y) if a < y else (y, a)
-                        self.edge_pot[key] += 1
+                else:
+                    for y, e in self.nbr_e[a]:
+                        self.epot[e] += 1
                         if v == y:
-                            self.edge_cov[key] -= 1
+                            self.ecov[e] -= 1
 
     # -- search -----------------------------------------------------------
 
@@ -381,36 +414,49 @@ class _TableSolver:
                 return False
         return True
 
-    def _candidates(self, a: int, b: int):
-        if b in self.conn_set:
-            if self.out_sets is not None:
-                return sorted(self.out_sets[a])
-            return sorted(self.adj_sets[a] | {a})
-        return range(self.n)
-
     def search(self) -> Optional[MulTable]:
-        return self._search(0)
-
-    def _search(self, idx: int) -> Optional[MulTable]:
-        table = self.table
+        T = self.table
         order = self.order
-        while idx < len(order):
-            a, b = order[idx]
-            if table[a][b] < 0:
+        end = len(order)
+        is_conn = self.is_conn
+        conn_vals = self.conn_vals
+        all_vals = range(self.n)
+        trail = self.trail
+        tick = self.budget.tick
+        assign_propagate = self.assign_propagate
+        undo_to = self.undo_to
+        frames = []
+        idx = 0
+        while True:
+            # descend to the next open cell, or to a leaf
+            while idx < end:
+                a, b = order[idx]
+                if T[a][b] < 0:
+                    break
+                idx += 1
+            if idx == end:
+                table = self._finish()
+                if table is not None:
+                    return table
+            else:
+                vals = conn_vals[a] if is_conn[b] else all_vals
+                frames.append((idx, a, b, iter(vals), len(trail)))
+            # backtrack to the deepest frame with a candidate left
+            while frames:
+                idx, a, b, vals, mark = frames[-1]
+                undo_to(mark)
+                for v in vals:
+                    tick()
+                    if assign_propagate(a, b, v):
+                        break
+                    undo_to(mark)
+                else:
+                    frames.pop()
+                    continue
+                idx += 1
                 break
-            idx += 1
-        else:
-            return self._finish()
-        a, b = order[idx]
-        for v in self._candidates(a, b):
-            self.budget.tick()
-            mark = len(self.trail)
-            if self.assign_propagate(a, b, v):
-                found = self._search(idx + 1)
-                if found is not None:
-                    return found
-            self.undo_to(mark)
-        return None
+            else:
+                return None
 
     def _finish(self) -> Optional[MulTable]:
         rows = tuple(tuple(row) for row in self.table)
@@ -437,6 +483,23 @@ def _checked(witness, graph) -> bool:
     return all(verify_witness(witness, graph).values())
 
 
+class WitnessCheckError(RuntimeError):
+    """A witness built by a search failed its own re-verification."""
+
+
+def _verified(witness: CayleyWitness, graph) -> CayleyWitness:
+    """Return ``witness`` once every check of ``verify_witness`` holds.
+
+    An explicit check rather than ``assert``, so that it also runs under
+    ``python -O``.
+    """
+    failed = [k for k, ok in verify_witness(witness, graph).items() if not ok]
+    if failed:
+        raise WitnessCheckError(
+            f"{witness.mode} witness fails its own checks: {', '.join(failed)}")
+    return witness
+
+
 def recognize_monoid_digraph(
     g: Digraph,
     budget: Optional[Budget] = None,
@@ -455,8 +518,7 @@ def recognize_monoid_digraph(
     degs = g.out_degrees()
     if not g.arcs:
         w = _edgeless_witness("monoid-digraph", g.order)
-        assert _checked(w, g)
-        return witness_outcome(w, budget)
+        return witness_outcome(_verified(w, g), budget)
     if min(degs) == 0:
         # a nonempty connection set forces positive outdegree everywhere
         return no_outcome(budget)
@@ -482,8 +544,7 @@ def recognize_monoid_digraph(
             table = solver.search()
             if table is not None:
                 w = _witness_from_table("monoid-digraph", table, conn, "directed")
-                assert _checked(w, g)
-                return witness_outcome(w, budget)
+                return witness_outcome(_verified(w, g), budget)
     except BudgetExceededError:
         return budget_outcome(budget)
     return no_outcome(budget)
@@ -507,8 +568,7 @@ def recognize_semigroup_digraph(
     degs = g.out_degrees()
     if not g.arcs:
         w = _edgeless_witness("semigroup-digraph", g.order)
-        assert _checked(w, g)
-        return witness_outcome(w, budget)
+        return witness_outcome(_verified(w, g), budget)
     if min(degs) == 0:
         return no_outcome(budget)
     out_sets = [frozenset(s) for s in g.out_neighbors()]
@@ -535,8 +595,7 @@ def recognize_semigroup_digraph(
                     w = _witness_from_table(
                         "semigroup-digraph", table, conn, "directed"
                     )
-                    assert _checked(w, g)
-                    return witness_outcome(w, budget)
+                    return witness_outcome(_verified(w, g), budget)
     except BudgetExceededError:
         return budget_outcome(budget)
     return no_outcome(budget)
@@ -568,8 +627,7 @@ def recognize_monoid_graph(
         if require_generated and n > 1:
             return no_outcome(budget)
         w = _edgeless_witness("monoid-graph", n)
-        assert _checked(w, g)
-        return witness_outcome(w, budget)
+        return witness_outcome(_verified(w, g), budget)
     adj_sets = [frozenset(s) for s in g.neighbors()]
     candidates = sorted(range(n), key=lambda x: (-degs[x], x))
     try:
@@ -598,8 +656,7 @@ def recognize_monoid_graph(
             table = solver.search()
             if table is not None:
                 w = _witness_from_table("monoid-graph", table, conn, "undirected")
-                assert _checked(w, g)
-                return witness_outcome(w, budget)
+                return witness_outcome(_verified(w, g), budget)
     except BudgetExceededError:
         return budget_outcome(budget)
     return no_outcome(budget)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
+import semicayley
 from semicayley import Digraph, SimpleGraph
 
 
@@ -34,6 +37,26 @@ def petersen() -> SimpleGraph:
 
 def functional_digraph(succ) -> Digraph:
     return Digraph(len(succ), [(v, succ[v]) for v in range(len(succ))])
+
+
+def looped_to_zero(n: int) -> Digraph:
+    """A loop at every vertex plus an arc from every vertex to 0.
+
+    Its monoid table search branches on about n cells in a row, so it
+    reaches search depths near n.
+    """
+    return Digraph(n, [(i, i) for i in range(n)] + [(i, 0) for i in range(n)])
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports this semicayley.
+
+    The package may come from ``src/`` or from an install; the child's
+    ``PYTHONPATH`` is led by the directory it was imported from.
+    """
+    package_root = str(Path(semicayley.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
 def nx_trees(n: int):

@@ -9,9 +9,12 @@ left-multiplication search in ``sabidussi_check``.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
-from conftest import functional_digraph
+from conftest import child_env, functional_digraph, looped_to_zero
 from semicayley import (
     Budget,
     Digraph,
@@ -193,3 +196,72 @@ def test_sabidussi_order_cap():
     big = Digraph(9, [(i, i) for i in range(9)])
     with pytest.raises(ValueError):
         sabidussi_check(big, fresh_budget())
+
+
+def test_search_node_counts_frozen():
+    """Frozen node totals: the search must visit the same nodes in the
+    same order however its hot path is written."""
+    def total(report):
+        return sum(entry.outcome.nodes for entry in report.entries)
+
+    report = classify_all(5, "monoid-graph")
+    assert report.counts() == {"witness": 34}
+    assert total(report) == 804
+    report = classify_all(4, "monoid-digraph")
+    assert report.counts() == {"witness": 40, "exhausted-no": 66}
+    assert total(report) == 1408
+    report = classify_all(4, "semigroup-digraph")
+    assert report.counts() == {"witness": 47, "exhausted-no": 59}
+    assert total(report) == 10134
+    assert recognize_monoid_digraph(looped_to_zero(30), fresh_budget()).nodes == 841
+    # the column rule cuts no node on these inputs: the totals are the same
+    digraphs = list(enumerate_graphs(4, "digraph-outregular"))
+    for rec, nodes in ((recognize_monoid_digraph, 1408),
+                       (recognize_semigroup_digraph, 10134)):
+        assert sum(rec(g, fresh_budget(), column_prunes=False).nodes
+                   for g in digraphs) == nodes
+
+
+@pytest.mark.parametrize("n, nodes", [(36, 1225), (45, 1936)])
+def test_deep_search_has_no_recursion_limit(n, nodes):
+    g = looped_to_zero(n)
+    out = recognize_monoid_digraph(g, fresh_budget())
+    assert out.is_witness and witness_ok(out.witness, g)
+    assert out.nodes == nodes
+
+
+SELF_CHECK_SCRIPT = """
+import sys
+import semicayley.recognize as rec
+from semicayley import Budget, Digraph, SimpleGraph
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+rec.verify_witness = lambda w, g: {"roundtrip": False}
+cycle = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+cases = [
+    (rec.recognize_monoid_digraph, cycle),
+    (rec.recognize_semigroup_digraph, cycle),
+    (rec.recognize_monoid_graph, SimpleGraph(3, [(0, 1), (1, 2)])),
+    (rec.recognize_monoid_digraph, Digraph(2)),
+    (rec.recognize_semigroup_digraph, Digraph(2)),
+    (rec.recognize_monoid_graph, SimpleGraph(2)),
+]
+for recognize, g in cases:
+    try:
+        recognize(g, Budget())
+    except rec.WitnessCheckError as exc:
+        print(exc)
+    else:
+        sys.exit(recognize.__name__ + " returned a witness that fails its checks")
+"""
+
+
+def test_witness_self_check_runs_under_python_O():
+    """Each recognizer re-verifies its witness (searched or edgeless) with
+    a check that ``python -O`` keeps; here every check is made to fail."""
+    proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("fails its own checks: roundtrip\n") == 6

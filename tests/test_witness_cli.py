@@ -5,13 +5,14 @@ run ``semicayley gen looped-path`` as a console script would: one resolves
 the ``semicayley`` entry point that this checkout's ``pyproject.toml``
 declares and calls it the way an installed wrapper does, against the same
 package the suite imports; the other runs the ``semicayley`` executable on
-``PATH`` and is skipped where none is installed.
+``PATH`` and is skipped where none is installed. Two more run the package
+with ``python -m``: ``python -m semicayley gen looped-path``, and a
+``recognize`` whose search goes 36 cells deep.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import shutil
 import subprocess
 import sys
@@ -19,11 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cycle_graph
-import semicayley
+from conftest import child_env, cycle_graph, looped_to_zero
 from semicayley import (
     MulTable,
     construct_monoid,
+    format_graph,
     format_witness_record,
     parse_witness_record,
     verify_witness,
@@ -249,13 +250,31 @@ def test_console_script_installed():
         target = tomllib.load(fh)["project"]["scripts"]["semicayley"]
     module, attr = target.split(":")
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    # The child imports the same semicayley as this suite: src/ or an install.
-    package_root = str(Path(semicayley.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", wrapper, "gen", "looped-path"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=60)
     assert_gen_looped_path(proc)
+
+
+def test_python_dash_m_semicayley():
+    proc = subprocess.run([sys.executable, "-m", "semicayley", "gen",
+                           "looped-path"],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=60)
+    assert_gen_looped_path(proc)
+
+
+def test_cli_recognize_deep_search(tmp_path):
+    """A search 36 cells deep ends in a witness, not a RecursionError."""
+    path = tmp_path / "looped36.txt"
+    path.write_text(format_graph(looped_to_zero(36)))
+    proc = subprocess.run([sys.executable, "-m", "semicayley.cli", "recognize",
+                           "--mode", "monoid-digraph", str(path)],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("status: witness\n")
 
 
 @pytest.mark.skipif(shutil.which("semicayley") is None,
