@@ -148,7 +148,6 @@ def _cmd_recognize(args) -> int:
             budget,
             require_generated=args.require_generated,
             max_connection=args.max_connection,
-            column_prunes=not args.no_column_prunes,
         )
     else:
         g = _input_graph(args.graph, Digraph)
@@ -157,7 +156,7 @@ def _cmd_recognize(args) -> int:
                 "--require-generated/--max-connection apply to monoid-graph only")
         rec = (recognize_monoid_digraph if args.mode == "monoid-digraph"
                else recognize_semigroup_digraph)
-        out = rec(g, budget, column_prunes=not args.no_column_prunes)
+        out = rec(g, budget)
     print(f"status: {out.status}")
     print(f"nodes: {out.nodes}")
     if out.is_witness:
@@ -289,14 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_embed)
 
     q = sub.add_parser("recognize", help="exhaustive Cayley table search")
-    q.add_argument("--mode", required=True,
-                   choices=("monoid-digraph", "semigroup-digraph", "monoid-graph"))
+    q.add_argument("--mode", required=True, choices=CENSUS_MODES)
     q.add_argument("--require-generated", action="store_true",
                    help="demand that the connection set generates the monoid")
     q.add_argument("--max-connection", type=int, default=None,
                    help="restrict identity candidates to this degree")
-    q.add_argument("--no-column-prunes", action="store_true",
-                   help="disable the component-shape column prunes")
     _add_budget_flags(q)
     q.add_argument("graph", nargs="?")
     q.set_defaults(func=_cmd_recognize)

@@ -18,7 +18,8 @@ from .algebra import MulTable
 from .graphs import Digraph, SimpleGraph
 from .invariants import orientation_with_outdegree, pseudoarboricity
 from .outcome import BudgetExceededError
-from .witness import CayleyWitness, verify_witness
+from .recognize import _verified
+from .witness import CayleyWitness
 
 __all__ = [
     "FunctionFamily",
@@ -155,9 +156,7 @@ def _embed(target: Digraph, fam: FunctionFamily, carrier: str, claim,
                       frozenset(index[m] for m in fam.maps),
                       tuple(range(n)), carrier=carrier,
                       component=tuple(range(n, total)))
-    checks = verify_witness(w, claim)
-    assert all(checks.values()), f"embedding self-check failed: {checks}"
-    return w
+    return _verified(w, claim)
 
 
 def embed_monoid(g: Digraph, fam: FunctionFamily,

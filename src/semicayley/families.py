@@ -7,15 +7,14 @@ with structural claims attached self-check those claims on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .algebra import MulTable
 from .graphs import Digraph, SimpleGraph, is_strongly_connected
-from .witness import CayleyWitness, verify_witness
+from .recognize import _verified
+from .witness import CayleyWitness
 
 __all__ = [
-    "FamilyParams",
     "gen_Gkl",
     "gen_Gklk",
     "gen_threshold",
@@ -25,18 +24,6 @@ __all__ = [
     "gen_smallest_tree",
     "looped_path_digraph",
 ]
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """CLI-facing parameter bundle naming a family instance."""
-
-    family: str
-    k: Optional[int] = None
-    ell: Optional[int] = None
-    kappa: Optional[int] = None
-    h: Optional[int] = None
-    seq: Optional[tuple] = None
 
 
 def _gkl_vertices(k: int, ell: int):
@@ -155,9 +142,7 @@ def gen_threshold(seq) -> Tuple[SimpleGraph, CayleyWitness]:
     table = MulTable(n, rows, identity=identity)
     w = CayleyWitness("monoid-graph", table, frozenset(conn),
                       tuple(range(n)), carrier="undirected")
-    checks = verify_witness(w, g)
-    assert all(checks.values()), f"threshold witness failed: {checks}"
-    return g, w
+    return g, _verified(w, g)
 
 
 def gen_K4_Cl(ell: int) -> SimpleGraph:

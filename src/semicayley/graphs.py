@@ -533,7 +533,6 @@ def enumerate_graphs(n: int, mode: str) -> Iterator[Graph]:
 
     ``simple``: all simple graphs, order <= 7 (order 7, 1,044 classes,
     takes about 20 s on a 2-core Xeon with CPython 3.11).
-    ``digraph-minoutdeg1``: digraphs with minimum outdegree >= 1, order <= 4.
     ``digraph-all``: all digraphs including sinks and loops, order <= 4.
     ``digraph-outregular``: digraphs with constant outdegree (any value
     from 0 to n), order <= 4.
@@ -552,11 +551,10 @@ def enumerate_graphs(n: int, mode: str) -> Iterator[Graph]:
             if _is_self_canonical(rows):
                 yield SimpleGraph(n, edges)
         return
-    if mode in ("digraph-minoutdeg1", "digraph-all"):
+    if mode == "digraph-all":
         if n > 4:
             raise ValueError("digraph enumeration capped at order 4")
-        lo = 1 if mode == "digraph-minoutdeg1" else 0
-        sizes = [range(lo, n + 1)]
+        sizes = [range(n + 1)]
     elif mode == "digraph-outregular":
         if n > 4:
             raise ValueError("digraph enumeration capped at order 4")

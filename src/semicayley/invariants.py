@@ -40,8 +40,9 @@ _SUBSET_CAP = 20
 _MIS_CAP = 40
 
 
-def _subset_density(g: SimpleGraph, shift: int) -> int:
-    """max over subsets S of ceil(|E(G[S])| / (|S| - shift)); exhaustive."""
+def arboricity(g: SimpleGraph) -> int:
+    """Nash-Williams density max ceil(|E(G[S])| / (|S|-1)), |S| >= 2;
+    exhaustive over subsets."""
     n = g.order
     if n > _SUBSET_CAP:
         raise ValueError(f"exhaustive subset scan capped at order {_SUBSET_CAP}")
@@ -52,7 +53,7 @@ def _subset_density(g: SimpleGraph, shift: int) -> int:
     best = 0
     for mask in range(1, 1 << n):
         size = mask.bit_count()
-        if size <= shift:
+        if size < 2:
             continue
         edges = 0
         m = mask
@@ -60,13 +61,8 @@ def _subset_density(g: SimpleGraph, shift: int) -> int:
             v = (m & -m).bit_length() - 1
             m &= m - 1
             edges += (adj[v] & m).bit_count()
-        best = max(best, -(-edges // (size - shift)))
+        best = max(best, -(-edges // (size - 1)))
     return best
-
-
-def arboricity(g: SimpleGraph) -> int:
-    """Nash-Williams density max ceil(|E(G[S])| / (|S|-1)), |S| >= 2."""
-    return _subset_density(g, 1)
 
 
 class OrientationInfeasible(ValueError):
@@ -138,11 +134,6 @@ def pseudoarboricity(g: SimpleGraph) -> int:
             k += 1
 
 
-def pseudoarboricity_by_subsets(g: SimpleGraph) -> int:
-    """Independent density formula max ceil(|E(G[S])| / |S|); cross-check."""
-    return _subset_density(g, 0)
-
-
 def independence_number(g: SimpleGraph) -> int:
     """Exact maximum independent set size by branch and bound."""
     n = g.order
@@ -152,50 +143,19 @@ def independence_number(g: SimpleGraph) -> int:
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    return _mis_masked(adj, (1 << n) - 1)
+
+
+def _mis_masked(adj: list, mask: int) -> int:
+    """Max independent set within mask, over bitmask adjacency rows."""
     best = 0
-
-    def bnb(mask: int, size: int) -> None:
-        nonlocal best
-        while mask:
-            if size + mask.bit_count() <= best:
-                return
-            # pick a highest-degree vertex within mask
-            v, vdeg = -1, -1
-            m = mask
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                d = (adj[w] & mask).bit_count()
-                if d > vdeg:
-                    v, vdeg = w, d
-            if vdeg <= 1:
-                # remaining graph is a matching plus isolated vertices
-                total = size
-                mm = mask
-                while mm:
-                    w = (mm & -mm).bit_length() - 1
-                    mm &= mm - 1
-                    mm &= ~adj[w]
-                    total += 1
-                best = max(best, total)
-                return
-            bnb(mask & ~(1 << v) & ~adj[v], size + 1)
-            mask &= ~(1 << v)
-        best = max(best, size)
-
-    bnb((1 << n) - 1, 0)
-    return best
-
-
-def _mis_masked(adj: list, mask: int, best_so_far: int = 0) -> int:
-    """Max independent set within mask; small helper reused by beta."""
-    best = best_so_far
 
     def bnb(m: int, size: int) -> None:
         nonlocal best
         while m:
             if size + m.bit_count() <= best:
                 return
+            # pick a highest-degree vertex within m
             v, vdeg = -1, -1
             mm = m
             while mm:
@@ -205,6 +165,7 @@ def _mis_masked(adj: list, mask: int, best_so_far: int = 0) -> int:
                 if d > vdeg:
                     v, vdeg = w, d
             if vdeg <= 1:
+                # remaining graph is a matching plus isolated vertices
                 total = size
                 mm = m
                 while mm:
@@ -263,7 +224,7 @@ def beta(g: SimpleGraph, k: int, budget: int = _BETA_BUDGET) -> int:
                 if (u, v) not in removed:
                     kept[u] |= 1 << v
                     kept[v] |= 1 << u
-            val = _mis_masked(kept, full, best_so_far=0)
+            val = _mis_masked(kept, full)
             cache[removed] = val
         best = max(best, val)
     return best

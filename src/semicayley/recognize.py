@@ -17,10 +17,7 @@ exhausted search certifies a negative answer:
 * a 1-outregular semigroup digraph always admits a singleton connection
   set, so larger sets need not be searched in that case;
 * rows of a Cayley table are endomorphisms of the represented digraph;
-* strongly connected directed carriers force injective rows;
-* a completed connection column is itself a 1-outregular Cayley digraph
-  and must satisfy the cycle-divisibility and depth conditions, with the
-  identity's component dominating in the monoid case.
+* strongly connected directed carriers force injective rows.
 """
 
 from __future__ import annotations
@@ -28,11 +25,12 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import MulTable, validate_table
 from .graphs import (
     Digraph,
+    Graph,
     SimpleGraph,
     canonical_form,
     enumerate_graphs,
@@ -63,100 +61,17 @@ def _left_zero(n: int) -> MulTable:
     return MulTable(n, rows)
 
 
-def _edgeless_witness(mode: str, n: int) -> CayleyWitness:
-    """An edgeless graph is a Cayley graph via the empty connection set."""
-    if mode == "semigroup-digraph":
-        table = _left_zero(n)
-    else:
-        table = _left_zero_with_identity(n)
-    carrier = "undirected" if mode == "monoid-graph" else "directed"
-    return CayleyWitness(
-        mode=mode,
-        table=table,
-        connection=frozenset(),
-        vertex_map=tuple(range(n)),
-        carrier=carrier,
-    )
-
-
-def _functional_components(succ: Sequence[int]):
-    """Cycle length and depth per weak component of a functional digraph.
-
-    Returns (comp, cycle_len, max_depth) where comp[v] is the component
-    id of v and the two lists are indexed by component id.
-    """
-    n = len(succ)
-    color = [0] * n
-    comp = [-1] * n
-    on_cycle = [False] * n
-    cycle_len: List[int] = []
-    for s in range(n):
-        if color[s]:
-            continue
-        path = []
-        v = s
-        while color[v] == 0:
-            color[v] = 1
-            path.append(v)
-            v = succ[v]
-        if color[v] == 1:
-            cid = len(cycle_len)
-            i = path.index(v)
-            cycle_len.append(len(path) - i)
-            for u in path[i:]:
-                on_cycle[u] = True
-        else:
-            cid = comp[v]
-        for u in path:
-            comp[u] = cid
-            color[u] = 2
-    depth = [-1] * n
-    for s in range(n):
-        chain = []
-        v = s
-        while depth[v] < 0 and not on_cycle[v]:
-            chain.append(v)
-            v = succ[v]
-        base = 0 if on_cycle[v] else depth[v]
-        for u in reversed(chain):
-            base += 1
-            depth[u] = base
-    for v in range(n):
-        if on_cycle[v]:
-            depth[v] = 0
-    max_depth = [0] * len(cycle_len)
-    for v in range(n):
-        if depth[v] > max_depth[comp[v]]:
-            max_depth[comp[v]] = depth[v]
-    return comp, cycle_len, max_depth
-
-
-def _column_admissible(succ: Sequence[int], identity: Optional[int]) -> bool:
-    """Divisibility/depth test for one completed connection column.
-
-    With an identity the identity's component must dominate exactly; for
-    a semigroup some component must dominate with depth slack one.
-    """
-    comp, zlen, ell = _functional_components(succ)
-    if identity is not None:
-        c = comp[identity]
-        return all(
-            zlen[c] % zlen[d] == 0 and ell[d] <= ell[c] for d in range(len(zlen))
-        )
-    k = len(zlen)
-    for c in range(k):
-        if all(zlen[c] % zlen[d] == 0 and ell[d] <= ell[c] + 1 for d in range(k)):
-            return True
-    return False
-
-
 class _TableSolver:
     """Backtracking search for an associative table realizing a graph.
 
-    Cells are assigned in a fixed static order, connection columns first.
-    Each assignment propagates every associativity triple it completes,
-    via occurrence lists keyed by cell value, and updates per-row arc
-    coverage counters whose infeasibility prunes the branch.
+    ``sets`` are the out-neighborhoods of a digraph (``directed``) or the
+    neighborhoods of a graph.  Cells are assigned in a fixed static order,
+    connection columns first.  Each assignment propagates every
+    associativity triple it completes, via occurrence lists keyed by cell
+    value, and updates per-row arc coverage counters whose infeasibility
+    prunes the branch.  A complete table is returned only if
+    ``leaf_check(table, connection)``, when given, accepts it; otherwise
+    the search resumes.
 
     ``__init__`` tabulates everything the hot path asks of the graph:
     which columns are connection columns, a boolean matrix ``ok`` (arc
@@ -174,22 +89,19 @@ class _TableSolver:
 
     def __init__(
         self,
-        n: int,
-        connection: Sequence[int],
+        sets: Sequence[frozenset],
+        connection: Iterable[int],
         budget: Budget,
         *,
-        out_sets: Optional[Sequence[frozenset]] = None,
-        adj_sets: Optional[Sequence[frozenset]] = None,
+        directed: bool,
         identity: Optional[int] = None,
         injective_rows: bool = False,
-        column_prunes: bool = True,
         leaf_check=None,
     ):
-        self.n = n
-        self.conn = tuple(connection)
+        self.n = n = len(sets)
+        self.conn = tuple(sorted(connection))
         self.budget = budget
         self.identity = identity
-        self.column_prunes = column_prunes
         self.leaf_check = leaf_check
         self.table = [[-1] * n for _ in range(n)]
         self.occ: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
@@ -199,12 +111,11 @@ class _TableSolver:
         self.is_conn = [False] * n
         for c in self.conn:
             self.is_conn[c] = True
-        self.col_remaining = [n] * n
-        self.directed = out_sets is not None
+        self.directed = directed
         self.ok = ok = [[False] * n for _ in range(n)]
-        if self.directed:
+        self.out_nbrs = [sorted(s) for s in sets]
+        if directed:
             # directed carrier: row x must cover N+(x) exactly
-            self.out_nbrs = [sorted(s) for s in out_sets]
             self.in_nbrs: List[List[int]] = [[] for _ in range(n)]
             for x in range(n):
                 for y in self.out_nbrs[x]:
@@ -212,11 +123,10 @@ class _TableSolver:
                     self.in_nbrs[y].append(x)
             self.conn_vals = self.out_nbrs
             self.remaining = [len(self.conn)] * n
-            self.uncovered = [len(s) for s in out_sets]
+            self.uncovered = [len(s) for s in sets]
             self.cover_count = [[0] * n for _ in range(n)]
         else:
             # undirected carrier: each edge needs an arc in some direction
-            self.out_nbrs = [sorted(s) for s in adj_sets]
             self.nbr_e: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
             edges = 0
             for x in range(n):
@@ -227,7 +137,7 @@ class _TableSolver:
                         self.nbr_e[x].append((y, edges))
                         self.nbr_e[y].append((x, edges))
                         edges += 1
-            self.conn_vals = [sorted(adj_sets[x] | {x}) for x in range(n)]
+            self.conn_vals = [sorted(sets[x] | {x}) for x in range(n)]
             self.ecov = [0] * edges
             self.epot = [2 * len(self.conn)] * edges
         free = [b for b in range(n) if not self.is_conn[b]]
@@ -251,7 +161,6 @@ class _TableSolver:
         ok = self.ok
         out_nbrs = self.out_nbrs
         row_used = self.row_used
-        col_remaining = self.col_remaining
         directed = self.directed
         if directed:
             in_nbrs = self.in_nbrs
@@ -312,12 +221,8 @@ class _TableSolver:
                             ecov[e] += 1
                         elif epot[e] == 0 and ecov[e] == 0:
                             dead = True
-                col_remaining[b] -= 1
                 if dead:
                     return False
-                if col_remaining[b] == 0 and self.column_prunes:
-                    if not _column_admissible([row[b] for row in T], self.identity):
-                        return False
             # associativity propagation: four roles of the new cell
             Tb = T[b]
             Tv = T[v]
@@ -377,7 +282,6 @@ class _TableSolver:
         occ = self.occ
         is_conn = self.is_conn
         row_used = self.row_used
-        col_remaining = self.col_remaining
         directed = self.directed
         for _ in range(len(trail) - mark):
             a, b = trail.pop()
@@ -388,7 +292,6 @@ class _TableSolver:
             if row_used is not None:
                 row_used[a][v] = False
             if is_conn[b]:
-                col_remaining[b] += 1
                 if directed:
                     self.remaining[a] += 1
                     cc = self.cover_count[a]
@@ -463,7 +366,7 @@ class _TableSolver:
         table = MulTable(self.n, rows, identity=self.identity)
         if validate_table(table) is not None:
             return None
-        if self.leaf_check is not None and not self.leaf_check(table):
+        if self.leaf_check is not None and not self.leaf_check(table, self.conn):
             # returning None resumes the enumeration at the caller
             return None
         return table
@@ -484,7 +387,8 @@ def _checked(witness, graph) -> bool:
 
 
 class WitnessCheckError(RuntimeError):
-    """A witness built by a search failed its own re-verification."""
+    """A witness built by a search, an embedding or a family generator
+    failed its own re-verification."""
 
 
 def _verified(witness: CayleyWitness, graph) -> CayleyWitness:
@@ -500,11 +404,66 @@ def _verified(witness: CayleyWitness, graph) -> CayleyWitness:
     return witness
 
 
+def _search_tables(
+    mode: str,
+    g: Graph,
+    budget: Optional[Budget],
+    sets: Sequence[frozenset],
+    candidates: Iterable[Tuple[Optional[int], Iterable[int]]],
+    leaf_check=None,
+) -> SearchOutcome:
+    """Search a table for each (identity, connection set) candidate in turn.
+
+    ``sets`` are the out-neighborhoods of ``g`` in the digraph modes and
+    its neighborhoods in ``monoid-graph``.  An edgeless ``g`` is answered
+    by a left-zero table, with an identity adjoined in the monoid modes,
+    over the empty connection set; ``leaf_check`` (see ``_TableSolver``)
+    judges that table as it does every searched one.  The first table
+    found is returned as a witness that has passed ``_verified``.
+    """
+    budget = budget or Budget()
+    budget.start_clock()
+    n = g.order
+    directed = mode != "monoid-graph"
+    carrier = "directed" if directed else "undirected"
+    if not any(sets):
+        if mode == "semigroup-digraph":
+            table = _left_zero(n)
+        else:
+            table = _left_zero_with_identity(n)
+        if leaf_check is not None and not leaf_check(table, ()):
+            return no_outcome(budget)
+        w = _witness_from_table(mode, table, (), carrier)
+        return witness_outcome(_verified(w, g), budget)
+    if directed and not all(sets):
+        # a nonempty connection set forces positive outdegree everywhere
+        return no_outcome(budget)
+    injective = directed and is_strongly_connected(g)
+    try:
+        for identity, conn in candidates:
+            solver = _TableSolver(
+                sets,
+                conn,
+                budget,
+                directed=directed,
+                identity=identity,
+                injective_rows=injective,
+                leaf_check=leaf_check,
+            )
+            if not solver.prefill_identity():
+                continue
+            table = solver.search()
+            if table is not None:
+                w = _witness_from_table(mode, table, conn, carrier)
+                return witness_outcome(_verified(w, g), budget)
+    except BudgetExceededError:
+        return budget_outcome(budget)
+    return no_outcome(budget)
+
+
 def recognize_monoid_digraph(
     g: Digraph,
     budget: Optional[Budget] = None,
-    *,
-    column_prunes: bool = True,
 ) -> SearchOutcome:
     """Decide whether ``g`` is the Cayley digraph of a finite monoid.
 
@@ -513,48 +472,15 @@ def recognize_monoid_digraph(
     cover a larger out-neighborhood).  Given the identity, the connection
     set is exactly its out-neighborhood.
     """
-    budget = budget or Budget()
-    budget.start_clock()
-    degs = g.out_degrees()
-    if not g.arcs:
-        w = _edgeless_witness("monoid-digraph", g.order)
-        return witness_outcome(_verified(w, g), budget)
-    if min(degs) == 0:
-        # a nonempty connection set forces positive outdegree everywhere
-        return no_outcome(budget)
     out_sets = [frozenset(s) for s in g.out_neighbors()]
-    dmax = max(degs)
-    injective = is_strongly_connected(g)
-    try:
-        for e in range(g.order):
-            if degs[e] != dmax:
-                continue
-            conn = sorted(out_sets[e])
-            solver = _TableSolver(
-                g.order,
-                conn,
-                budget,
-                out_sets=out_sets,
-                identity=e,
-                injective_rows=injective,
-                column_prunes=column_prunes,
-            )
-            if not solver.prefill_identity():
-                continue
-            table = solver.search()
-            if table is not None:
-                w = _witness_from_table("monoid-digraph", table, conn, "directed")
-                return witness_outcome(_verified(w, g), budget)
-    except BudgetExceededError:
-        return budget_outcome(budget)
-    return no_outcome(budget)
+    dmax = max(map(len, out_sets))
+    candidates = ((e, s) for e, s in enumerate(out_sets) if len(s) == dmax)
+    return _search_tables("monoid-digraph", g, budget, out_sets, candidates)
 
 
 def recognize_semigroup_digraph(
     g: Digraph,
     budget: Optional[Budget] = None,
-    *,
-    column_prunes: bool = True,
 ) -> SearchOutcome:
     """Decide whether ``g`` is the Cayley digraph of a finite semigroup.
 
@@ -563,42 +489,14 @@ def recognize_semigroup_digraph(
     1-outregular inputs only singletons are tried: any representation
     restricts to one over a single connection element.
     """
-    budget = budget or Budget()
-    budget.start_clock()
-    degs = g.out_degrees()
-    if not g.arcs:
-        w = _edgeless_witness("semigroup-digraph", g.order)
-        return witness_outcome(_verified(w, g), budget)
-    if min(degs) == 0:
-        return no_outcome(budget)
     out_sets = [frozenset(s) for s in g.out_neighbors()]
-    dmax = max(degs)
-    injective = is_strongly_connected(g)
-    if dmax == 1 and min(degs) == 1:
+    if g.is_k_outregular(1):
         sizes: Sequence[int] = (1,)
     else:
-        sizes = range(dmax, g.order + 1)
-    try:
-        for size in sizes:
-            for conn in itertools.combinations(range(g.order), size):
-                solver = _TableSolver(
-                    g.order,
-                    conn,
-                    budget,
-                    out_sets=out_sets,
-                    identity=None,
-                    injective_rows=injective,
-                    column_prunes=column_prunes,
-                )
-                table = solver.search()
-                if table is not None:
-                    w = _witness_from_table(
-                        "semigroup-digraph", table, conn, "directed"
-                    )
-                    return witness_outcome(_verified(w, g), budget)
-    except BudgetExceededError:
-        return budget_outcome(budget)
-    return no_outcome(budget)
+        sizes = range(max(map(len, out_sets)), g.order + 1)
+    candidates = ((None, conn) for size in sizes
+                  for conn in itertools.combinations(range(g.order), size))
+    return _search_tables("semigroup-digraph", g, budget, out_sets, candidates)
 
 
 def recognize_monoid_graph(
@@ -607,7 +505,6 @@ def recognize_monoid_graph(
     *,
     require_generated: bool = False,
     max_connection: Optional[int] = None,
-    column_prunes: bool = True,
 ) -> SearchOutcome:
     """Decide whether ``g`` is the underlying graph of a monoid Cayley digraph.
 
@@ -619,47 +516,19 @@ def recognize_monoid_graph(
     restricted search then certifies only that no representation exists
     whose identity has degree within the bound.
     """
-    budget = budget or Budget()
-    budget.start_clock()
-    degs = g.degrees()
     n = g.order
-    if not g.edges:
-        if require_generated and n > 1:
-            return no_outcome(budget)
-        w = _edgeless_witness("monoid-graph", n)
-        return witness_outcome(_verified(w, g), budget)
     adj_sets = [frozenset(s) for s in g.neighbors()]
-    candidates = sorted(range(n), key=lambda x: (-degs[x], x))
-    try:
-        for e in candidates:
-            if degs[e] == 0:
-                continue
-            if max_connection is not None and degs[e] > max_connection:
-                continue
-            conn = sorted(adj_sets[e])
-            check = None
-            if require_generated:
-                cset = frozenset(conn)
-                def check(table, cset=cset):
-                    return len(generated_submonoid(table, cset)) == n
-            solver = _TableSolver(
-                n,
-                conn,
-                budget,
-                adj_sets=adj_sets,
-                identity=e,
-                column_prunes=column_prunes,
-                leaf_check=check,
-            )
-            if not solver.prefill_identity():
-                continue
-            table = solver.search()
-            if table is not None:
-                w = _witness_from_table("monoid-graph", table, conn, "undirected")
-                return witness_outcome(_verified(w, g), budget)
-    except BudgetExceededError:
-        return budget_outcome(budget)
-    return no_outcome(budget)
+    degs = [len(s) for s in adj_sets]
+    candidates = ((e, adj_sets[e])
+                  for e in sorted(range(n), key=lambda x: (-degs[x], x))
+                  if degs[e] and (max_connection is None
+                                  or degs[e] <= max_connection))
+
+    def generated(table, conn):
+        return len(generated_submonoid(table, conn)) == n
+
+    return _search_tables("monoid-graph", g, budget, adj_sets, candidates,
+                          generated if require_generated else None)
 
 
 # -- endomorphism-based cross-check ---------------------------------------

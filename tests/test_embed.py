@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import child_env, complete_graph, cycle_graph, path_graph, star_graph
 from semicayley import (
     BudgetExceededError,
     Digraph,
@@ -150,3 +153,38 @@ def test_embed_monoid_random_sink_free(data):
     w = embed_monoid(g, greedy_cover(g, k))
     assert all(verify_witness(w, g).values())
     _check_component_removal(w, g)
+
+
+SELF_CHECK_SCRIPT = """
+import sys
+import semicayley.recognize as rec
+from semicayley import Digraph, SimpleGraph, embed_monoid, embed_undirected, greedy_cover
+from semicayley.families import gen_threshold
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+rec.verify_witness = lambda w, g: {"roundtrip": False}
+cycle = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+cases = [
+    (embed_monoid, (cycle, greedy_cover(cycle, 1))),
+    (embed_undirected, (SimpleGraph(3, [(0, 1), (1, 2)]),)),
+    (gen_threshold, (["i", "d", "d"],)),
+]
+for build, args in cases:
+    try:
+        build(*args)
+    except rec.WitnessCheckError as exc:
+        print(exc)
+    else:
+        sys.exit(build.__name__ + " returned a witness that fails its checks")
+"""
+
+
+def test_embedding_and_family_self_checks_run_under_python_O():
+    """Embeddings and the threshold family re-verify their witnesses with
+    the check the recognizers use, which ``python -O`` keeps."""
+    proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("fails its own checks: roundtrip\n") == 3

@@ -161,19 +161,6 @@ def test_max_connection_restricts_identity_degree():
     assert free.is_witness
 
 
-def test_column_prunes_do_not_change_outcomes():
-    for mode, rec in (("monoid", recognize_monoid_digraph),
-                      ("semigroup", recognize_semigroup_digraph)):
-        for g in enumerate_graphs(3, "digraph-outregular"):
-            a = rec(g, fresh_budget(), column_prunes=True)
-            b = rec(g, fresh_budget(), column_prunes=False)
-            assert a.status == b.status, (mode, sorted(g.arcs))
-    for g in enumerate_graphs(4, "simple"):
-        a = recognize_monoid_graph(g, fresh_budget(), column_prunes=True)
-        b = recognize_monoid_graph(g, fresh_budget(), column_prunes=False)
-        assert a.status == b.status
-
-
 def test_budget_exhaustion_is_reported_not_raised():
     g = SimpleGraph(9, [(i, (i + 1) % 9) for i in range(9)]
                     + [(i, (i + 2) % 9) for i in range(9)])
@@ -214,12 +201,32 @@ def test_search_node_counts_frozen():
     assert report.counts() == {"witness": 47, "exhausted-no": 59}
     assert total(report) == 10134
     assert recognize_monoid_digraph(looped_to_zero(30), fresh_budget()).nodes == 841
-    # the column rule cuts no node on these inputs: the totals are the same
-    digraphs = list(enumerate_graphs(4, "digraph-outregular"))
-    for rec, nodes in ((recognize_monoid_digraph, 1408),
-                       (recognize_semigroup_digraph, 10134)):
-        assert sum(rec(g, fresh_budget(), column_prunes=False).nodes
-                   for g in digraphs) == nodes
+
+    def tally(outcomes):
+        counts = {}
+        for out in outcomes:
+            counts[out.status] = counts.get(out.status, 0) + 1
+        return counts, sum(out.nodes for out in outcomes)
+
+    graphs = list(enumerate_graphs(5, "simple"))
+    assert tally([recognize_monoid_graph(g, fresh_budget(),
+                                         require_generated=True)
+                  for g in graphs]) == ({"witness": 21, "exhausted-no": 13}, 46323)
+    assert tally([recognize_monoid_graph(g, fresh_budget(), max_connection=2)
+                  for g in graphs]) == ({"witness": 29, "exhausted-no": 5}, 3711)
+    # every order-3 digraph, sinks and the edgeless one included
+    digraphs = list(enumerate_graphs(3, "digraph-all"))
+    assert len(digraphs) == 104
+    assert tally([recognize_monoid_digraph(g, fresh_budget())
+                  for g in digraphs]) == ({"witness": 25, "exhausted-no": 79}, 165)
+    assert tally([recognize_semigroup_digraph(g, fresh_budget())
+                  for g in digraphs]) == ({"witness": 28, "exhausted-no": 76}, 709)
+    # canonical labellings put a sink first, where the search dies at once;
+    # a sink last shows that sinks are refuted before any search
+    sink_last = Digraph(3, [(0, 1), (1, 2)])
+    assert tally([rec(sink_last, fresh_budget())
+                  for rec in (recognize_monoid_digraph,
+                              recognize_semigroup_digraph)]) == ({"exhausted-no": 2}, 0)
 
 
 @pytest.mark.parametrize("n, nodes", [(36, 1225), (45, 1936)])

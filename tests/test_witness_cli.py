@@ -153,6 +153,9 @@ def test_cli_parse_error_exit_one(monkeypatch, capsys):
 def test_cli_usage_error_exit_one(capsys):
     assert main(["recognize", "--mode", "made-up"]) == 1
     capsys.readouterr()
+    assert main(["recognize", "--mode", "monoid-digraph",
+                 "--no-column-prunes"]) == 1
+    assert "unrecognized arguments: --no-column-prunes" in capsys.readouterr().err
 
 
 def test_cli_gen_pipes_into_tree_classify(monkeypatch, capsys):
