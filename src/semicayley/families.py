@@ -26,6 +26,12 @@ __all__ = [
 ]
 
 
+def _claim(holds: bool, generator: str, claim: str) -> None:
+    """A generator's self-check; unlike ``assert``, ``python -O`` keeps it."""
+    if not holds:
+        raise RuntimeError(f"{generator} fails its own check: {claim}")
+
+
 def _gkl_vertices(k: int, ell: int):
     """Layer-major numbering: the k^2 layer-0 vertices first (by j), then
     layers 1..ell-1 with k vertices each."""
@@ -53,7 +59,7 @@ def gen_Gkl(k: int, ell: int) -> Digraph:
             if _gkl_arc(k, ell, a, b)}
     g = Digraph(len(verts), arcs)
     if ell >= 2:
-        assert g.is_k_outregular(k)
+        _claim(g.is_k_outregular(k), "gen_Gkl", f"not {k}-outregular")
     return g
 
 
@@ -100,10 +106,11 @@ def gen_Gklk(k: int, ell: int, kappa: int) -> Digraph:
     arcs = {(new_index[u], new_index[v]) for u, v in base.arcs}
     g = Digraph(n, arcs)
     if kappa <= k:
-        assert n0 == (k // kappa) * k, (n0, k, kappa)
+        _claim(n0 == (k // kappa) * k, "gen_Gklk",
+               f"merged layer has {n0} vertices, not {(k // kappa) * k}")
     if ell >= 2:
-        assert g.is_k_outregular(k), "merge must preserve outdegrees"
-        assert is_strongly_connected(g)
+        _claim(g.is_k_outregular(k), "gen_Gklk", f"not {k}-outregular")
+        _claim(is_strongly_connected(g), "gen_Gklk", "not strongly connected")
     return g
 
 

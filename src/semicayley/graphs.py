@@ -401,17 +401,14 @@ def _adjacency(g: Graph) -> list:
     row's value is its bit string read from column 0."""
     top = g.order - 1
     rows = [0] * g.order
-    if isinstance(g, Digraph):
-        for u, v in g.arcs:
-            rows[u] |= 1 << (top - v)
-    else:
-        for u, v in g.edges:
-            rows[u] |= 1 << (top - v)
-            rows[v] |= 1 << (top - u)
+    pairs = (g.arcs if isinstance(g, Digraph)
+             else g.edges | {(v, u) for u, v in g.edges})
+    for u, v in pairs:
+        rows[u] |= 1 << (top - v)
     return rows
 
 
-def _min_packed(rows, bound=None):
+def _min_packed(rows) -> bytes:
     """Least row-major adjacency bit string over all vertex orders, packed
     eight bits to a byte, first bit highest, the last byte padded with
     zeros.
@@ -426,10 +423,6 @@ def _min_packed(rows, bound=None):
     the invariant, and only the branches tied on the least row go on.  A
     vertex whose transposition with an already tied one in the same cell
     is an automorphism (a twin) would give the same rows and is skipped.
-
-    ``bound`` is the rows of one labelling.  With it, the search returns
-    None as soon as some row of the least string falls below bound's row,
-    that is as soon as the labelling is shown not to be least.
     """
     n = len(rows)
     by_bit = rows[::-1]            # vertex v's row is by_bit[order-1-v]
@@ -437,7 +430,6 @@ def _min_packed(rows, bound=None):
     states = [((), [(1 << n) - 1])]
     least = []
     for k in range(n):
-        floor = None if bound is None else bound[k]
         best = None
         ties = []
         for prefix, cells in states:
@@ -455,8 +447,6 @@ def _min_packed(rows, bound=None):
                 r = r << 1 | (rv & low != 0)
                 for cell in (head ^ low, *rest):
                     r = r << cell.bit_count() | ((1 << (cell & rv).bit_count()) - 1)
-                if floor is not None and r < floor:
-                    return None
                 if best is not None and r > best:
                     continue
                 if r == best:
@@ -511,60 +501,70 @@ def _twins(bu: int, ru: int, bw: int, rw: int, cols: list) -> bool:
 
 
 def canonical_form(g: Graph, cap: int = _CANON_CAP) -> bytes:
-    """Canonical byte string: equal iff the graphs are isomorphic.
-
-    Lexicographic minimum of the packed row-major adjacency matrix over all
-    vertex permutations; the order and carrier kind are prefixed so
-    digraphs and simple graphs never collide.
-    """
+    """Canonical byte string, equal iff the graphs are isomorphic: the
+    order, the carrier kind (so digraphs and simple graphs never collide),
+    then the least row-major adjacency matrix over all vertex orders."""
     if g.order > cap:
         raise ValueError(f"canonical_form capped at order {cap}")
     kind = b"D" if isinstance(g, Digraph) else b"U"
     return bytes([g.order]) + kind + _min_packed(_adjacency(g))
 
 
-def _is_self_canonical(rows) -> bool:
-    """Whether the labelling with these adjacency rows is its own minimum."""
-    return _min_packed(rows, rows) is not None
+def _least_labellings(n: int, mode: str) -> list:
+    """Adjacency rows of the least labelling of every class of order n.
+
+    An order-(m+1) graph minus a vertex of largest degree (arcs in plus
+    out) is an order-m graph, so every way to give each order-m class a
+    new last vertex of largest degree reaches every order-(m+1) class."""
+    layer = [[]]
+    for m in range(n):
+        keys = set()
+        for rows in layer:
+            deg = [r.bit_count() + sum(s >> (m - 1 - u) & 1 for s in rows)
+                   for u, r in enumerate(rows)]
+            for ins in range(1 << m):
+                bits = [ins >> (m - 1 - u) & 1 for u in range(m)]
+                old = [r << 1 | b for r, b in zip(rows, bits)]
+                base = [d + b for d, b in zip(deg, bits)]
+                outs = [ins << 1] if mode == "simple" else range(2 << m)
+                if mode == "digraph-outregular" and m == n - 1:
+                    sizes = {r.bit_count() for r in old}
+                    outs = [t for t in outs if sizes <= {t.bit_count()}]
+                for out in outs:
+                    own = ins.bit_count() + out.bit_count() + (out & 1)
+                    if all(d + (out >> (m - u) & 1) <= own
+                           for u, d in enumerate(base)):
+                        keys.add(_min_packed(old + [out]))
+        pad, full = -(m + 1) ** 2 % 8, (2 << m) - 1
+        layer = [[bits >> (m + 1) * (m - u) & full for u in range(m + 1)]
+                 for bits in (int.from_bytes(k, "big") >> pad for k in keys)]
+    return layer
 
 
 def enumerate_graphs(n: int, mode: str) -> Iterator[Graph]:
     """Stream one canonical representative per isomorphism class.
 
-    ``simple``: all simple graphs, order <= 7 (order 7, 1,044 classes,
-    takes about 20 s on a 2-core Xeon with CPython 3.11).
-    ``digraph-all``: all digraphs including sinks and loops, order <= 4.
-    ``digraph-outregular``: digraphs with constant outdegree (any value
-    from 0 to n), order <= 4.
+    ``simple``: all simple graphs, order <= 8.  ``digraph-all``: all
+    digraphs including sinks and loops, order <= 4.  ``digraph-outregular``:
+    digraphs with constant outdegree (any value from 0 to n), order <= 4.
+    Each representative is its class's least labelling, streamed in
+    labelled-scan order: by edge mask over ``combinations(range(n), 2)``,
+    or for digraphs by each row's index among out-neighbour sets listed by
+    size, then lexicographically.  A 2-core Xeon with CPython 3.11 takes
+    0.04 s for order 6, 0.35 s for 7 and 4.4 s for 8 (12,346 classes) in
+    ``simple`` mode, and 0.2 s for ``digraph-all`` at order 4.
     """
-    top = n - 1
-    if mode == "simple":
-        if n > 7:
-            raise ValueError("simple enumeration capped at order 7")
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            rows = [0] * n
-            for u, v in edges:
-                rows[u] |= 1 << (top - v)
-                rows[v] |= 1 << (top - u)
-            if _is_self_canonical(rows):
-                yield SimpleGraph(n, edges)
-        return
-    if mode == "digraph-all":
-        if n > 4:
-            raise ValueError("digraph enumeration capped at order 4")
-        sizes = [range(n + 1)]
-    elif mode == "digraph-outregular":
-        if n > 4:
-            raise ValueError("digraph enumeration capped at order 4")
-        sizes = [[k] for k in range(n + 1)]
-    else:
+    caps = {"simple": 8, "digraph-all": 4, "digraph-outregular": 4}
+    if mode not in caps:
         raise ValueError(f"unknown enumeration mode {mode!r}")
-    for group in sizes:
-        masks = [sum(1 << (top - v) for v in c) for r in group
-                 for c in itertools.combinations(range(n), r)]
-        for rows in itertools.product(masks, repeat=n):
-            if _is_self_canonical(rows):
-                yield Digraph(n, [(u, v) for u in range(n) for v in range(n)
-                                  if rows[u] >> (top - v) & 1])
+    if n > caps[mode]:
+        raise ValueError(f"{mode} enumeration capped at order {caps[mode]}")
+    top = n - 1
+    if mode == "simple":  # edge masks compare from their highest bit down
+        kind, pairs = SimpleGraph, list(itertools.combinations(range(n), 2))
+        order = lambda rows: [rows[u] >> (top - v) & 1 for u, v in pairs[::-1]]
+    else:  # sets of one size come lexicographically, that is by falling mask
+        kind, pairs = Digraph, list(itertools.product(range(n), repeat=2))
+        order = lambda rows: [(r.bit_count(), -r) for r in rows]
+    for rows in sorted(_least_labellings(n, mode), key=order):
+        yield kind(n, [(u, v) for u, v in pairs if rows[u] >> (top - v) & 1])

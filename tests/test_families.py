@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 
+from conftest import child_env
 from semicayley import SimpleGraph, underlying_graph, witness_ok
 from semicayley.families import (
     looped_path_digraph,
@@ -59,6 +62,50 @@ def test_family_guards():
         gen_Tplus(2, 0)
     with pytest.raises(ValueError):
         gen_threshold("x")
+
+
+STRUCTURE_CHECK_SCRIPT = """
+import sys
+import semicayley.families as fam
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+breaks = [
+    # no arcs at all: gen_Gkl is not 2-outregular
+    ("_gkl_arc", lambda k, ell, a, b: False, fam.gen_Gkl, (2, 2)),
+    # everything merged into one vertex: wrong merged-layer size
+    ("_merge_classes", lambda k, kappa: [list(range(k * k))], fam.gen_Gklk, (2, 2, 2)),
+    # merging 0 with 1 and 2 with 3 halves some outdegrees
+    ("_merge_classes", lambda k, kappa: [[0, 1], [2, 3]], fam.gen_Gklk, (2, 2, 2)),
+    ("is_strongly_connected", lambda g: False, fam.gen_Gklk, (2, 2, 2)),
+]
+for name, fake, build, args in breaks:
+    true = getattr(fam, name)
+    setattr(fam, name, fake)
+    try:
+        build(*args)
+    except RuntimeError as exc:
+        print(exc)
+    else:
+        sys.exit(build.__name__ + " built a graph that fails its claims")
+    finally:
+        setattr(fam, name, true)
+"""
+
+
+def test_family_structure_checks_run_under_python_O():
+    """``gen_Gkl`` and ``gen_Gklk`` check their structural claims with a
+    check that ``python -O`` keeps; each broken helper must trip one."""
+    proc = subprocess.run([sys.executable, "-O", "-c", STRUCTURE_CHECK_SCRIPT],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "gen_Gkl fails its own check: not 2-outregular",
+        "gen_Gklk fails its own check: merged layer has 1 vertices, not 2",
+        "gen_Gklk fails its own check: not 2-outregular",
+        "gen_Gklk fails its own check: not strongly connected",
+    ]
 
 
 def brute_threshold(steps: str) -> SimpleGraph:

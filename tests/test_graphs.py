@@ -1,10 +1,12 @@
 """Graph containers, text format, canonical forms, enumeration.
 
 Class counts are frozen below and recomputed by an independent
-orbit-counting oracle (Burnside's lemma over vertex permutations), so
-the enumeration never checks itself against its own canonical form.
+orbit-counting oracle (Burnside's lemma over vertex permutations).
 Canonical keys are checked against a brute-force minimiser over every
-vertex permutation.
+vertex permutation.  The enumeration streams are compared, in order,
+with a scan over every labelled graph: filtered by the brute-force
+minimiser at small orders, and by ``canonical_form`` up to the orders
+the enumeration is used at.
 """
 
 from __future__ import annotations
@@ -233,11 +235,22 @@ def _labelled_simple(n: int):
         yield SimpleGraph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
-def _labelled_digraphs(n: int):
-    """Every labelled digraph, in enumerate_graphs's digraph-all scan order."""
-    sets = [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
-    for choice in itertools.product(sets, repeat=n):
-        yield Digraph(n, [(u, v) for u in range(n) for v in choice[u]])
+def _labelled_digraphs(n: int, outregular: bool = False):
+    """Every labelled digraph, in enumerate_graphs's digraph-all scan order;
+    or, in its digraph-outregular order, those of constant outdegree, one
+    outdegree after another."""
+    groups = [[k] for k in range(n + 1)] if outregular else [range(n + 1)]
+    for group in groups:
+        sets = [c for r in group for c in itertools.combinations(range(n), r)]
+        for choice in itertools.product(sets, repeat=n):
+            yield Digraph(n, [(u, v) for u in range(n) for v in choice[u]])
+
+
+LABELLED_SCANS = {
+    "simple": _labelled_simple,
+    "digraph-all": _labelled_digraphs,
+    "digraph-outregular": lambda n: _labelled_digraphs(n, outregular=True),
+}
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -284,6 +297,23 @@ def test_digraph_enumeration_is_the_brute_force_filtered_stream(n):
     assert list(enumerate_graphs(n, "digraph-all")) == expected
 
 
+def _is_least_labelling(g) -> bool:
+    """Whether g is its own canonical form, by the production labeller
+    (checked against brute force above)."""
+    return canonical_form(g)[2:] == _pack(_row_major(_matrix(g), range(g.order)))
+
+
+@pytest.mark.parametrize("mode,n", [("simple", n) for n in range(1, 7)] + [
+    (mode, n) for mode in ("digraph-all", "digraph-outregular")
+    for n in range(1, 5)])
+def test_enumeration_is_the_labelled_scan_of_least_labellings(mode, n):
+    """One-vertex extension yields exactly the stream of a scan over every
+    labelled graph that keeps the labellings equal to their own canonical
+    form, in scan order, graph for graph."""
+    expected = [g for g in LABELLED_SCANS[mode](n) if _is_least_labelling(g)]
+    assert list(enumerate_graphs(n, mode)) == expected
+
+
 @pytest.mark.parametrize("g,key", [
     (cycle_graph(4), "045533cc"),
     (gen_K4_Cl(5), "0955018147058341c10504c000"),
@@ -327,10 +357,23 @@ def test_symmetric_graphs_at_order_cap_get_distinct_keys():
     assert len(keys) == len(SYMMETRIC_10)
 
 
-@pytest.mark.slow
 def test_order_7_simple_enumeration_count():
     assert sum(1 for _ in enumerate_graphs(7, "simple")) == 1044
     assert orbit_count_simple(7) == 1044
+
+
+@pytest.mark.slow
+def test_order_8_simple_enumeration_count():
+    # OEIS A000088: 12,346 simple graphs on 8 vertices
+    keys = [canonical_form(g) for g in enumerate_graphs(8, "simple")]
+    assert len(keys) == len(set(keys)) == 12346
+
+
+@pytest.mark.parametrize("mode,n", [("simple", 9), ("digraph-all", 5),
+                                    ("digraph-outregular", 5)])
+def test_enumeration_refuses_orders_past_its_cap(mode, n):
+    with pytest.raises(ValueError, match="capped at order"):
+        list(enumerate_graphs(n, mode))
 
 
 def test_import_leaves_numpy_unloaded():

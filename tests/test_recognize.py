@@ -13,6 +13,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import child_env, functional_digraph, looped_to_zero
 from semicayley import (
@@ -120,6 +122,32 @@ def test_all_small_graphs_are_monoid_graphs():
         for g in enumerate_graphs(n, "simple"):
             out = recognize_monoid_graph(g, fresh_budget())
             assert out.is_witness
+            assert witness_ok(out.witness, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_recognition_is_invariant_under_relabelling(data):
+    """Metamorphic guard for enumeration and search speed-ups: a relabelled
+    graph or digraph gets the same status, and every witness verifies on
+    the labelling it was found for."""
+    directed = data.draw(st.booleans())
+    n = data.draw(st.integers(1, 4 if directed else 6))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    perm = data.draw(st.permutations(range(n)))
+    if directed:
+        kind, recognize = Digraph, recognize_monoid_digraph
+        arcs = data.draw(st.sets(pairs, max_size=n * n))
+    else:
+        kind, recognize = SimpleGraph, recognize_monoid_graph
+        arcs = data.draw(st.sets(pairs.filter(lambda e: e[0] != e[1]),
+                                 max_size=n * (n - 1) // 2))
+    graphs = (kind(n, arcs), kind(n, [(perm[u], perm[v]) for u, v in arcs]))
+    outs = [recognize(g, fresh_budget(10**6, 60.0)) for g in graphs]
+    assert outs[0].status in ("witness", "exhausted-no")
+    assert outs[0].status == outs[1].status
+    for g, out in zip(graphs, outs):
+        if out.is_witness:
             assert witness_ok(out.witness, g)
 
 
