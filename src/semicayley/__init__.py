@@ -3,123 +3,80 @@
 Decision procedures, explicit witness construction, and certified
 negative answers for the question: which finite digraphs and graphs
 arise as Cayley graphs of semigroups or monoids?
+
+Importing the package loads none of its submodules.  Each public name
+below is imported from its submodule on first access (PEP 562), so a
+caller pays only for the parts it uses.
 """
 
-from .algebra import (
-    MulTable,
-    TableFormatError,
-    cayley_digraph,
-    underlying_graph,
-    validate_table,
-)
-from .graphs import (
-    Digraph,
-    GraphFormatError,
-    SimpleGraph,
-    canonical_form,
-    enumerate_graphs,
-    format_graph,
-    parse_graph,
-)
-from .outcome import (
-    BUDGET_EXCEEDED,
-    Budget,
-    BudgetExceededError,
-    EXHAUSTED_NO,
-    SearchOutcome,
-    WITNESS,
-)
-from .witness import (
-    CayleyWitness,
-    format_witness_record,
-    parse_witness_record,
-    verify_witness,
-    witness_ok,
-)
-from .zelinka import (
-    OutregularProfile,
-    construct_monoid,
-    construct_semigroup,
-    decide_monoid,
-    decide_semigroup,
-    forest_witness,
-    profile,
-)
-from .embed import (
-    FunctionFamily,
-    embed_monoid,
-    embed_undirected,
-    greedy_cover,
-)
-from .recognize import (
-    WitnessCheckError,
-    classify_all,
-    recognize_monoid_digraph,
-    recognize_monoid_graph,
-    recognize_semigroup_digraph,
-    sabidussi_check,
-)
-from .invariants import (
-    arboricity,
-    beta,
-    connectivity_bound,
-    independence_number,
-    nonmonoid_certificate,
-    pseudoarboricity,
-    spectrum,
-)
-from .trees import TreeVerdict, classify_tree
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Budget",
-    "BudgetExceededError",
-    "BUDGET_EXCEEDED",
-    "CayleyWitness",
-    "Digraph",
-    "EXHAUSTED_NO",
-    "FunctionFamily",
-    "GraphFormatError",
-    "MulTable",
-    "OutregularProfile",
-    "SearchOutcome",
-    "SimpleGraph",
-    "TableFormatError",
-    "TreeVerdict",
-    "WITNESS",
-    "WitnessCheckError",
-    "arboricity",
-    "beta",
-    "canonical_form",
-    "cayley_digraph",
-    "classify_all",
-    "classify_tree",
-    "connectivity_bound",
-    "construct_monoid",
-    "construct_semigroup",
-    "decide_monoid",
-    "decide_semigroup",
-    "embed_monoid",
-    "embed_undirected",
-    "enumerate_graphs",
-    "forest_witness",
-    "format_graph",
-    "format_witness_record",
-    "greedy_cover",
-    "independence_number",
-    "nonmonoid_certificate",
-    "parse_graph",
-    "parse_witness_record",
-    "profile",
-    "pseudoarboricity",
-    "recognize_monoid_digraph",
-    "recognize_monoid_graph",
-    "recognize_semigroup_digraph",
-    "sabidussi_check",
-    "spectrum",
-    "underlying_graph",
-    "validate_table",
-    "verify_witness",
-    "witness_ok",
-]
+# public name -> submodule that defines it
+_EXPORTS = {
+    "MulTable": "algebra",
+    "TableFormatError": "algebra",
+    "cayley_digraph": "algebra",
+    "underlying_graph": "algebra",
+    "validate_table": "algebra",
+    "Digraph": "graphs",
+    "GraphFormatError": "graphs",
+    "SimpleGraph": "graphs",
+    "canonical_form": "graphs",
+    "enumerate_graphs": "graphs",
+    "format_graph": "graphs",
+    "parse_graph": "graphs",
+    "BUDGET_EXCEEDED": "outcome",
+    "Budget": "outcome",
+    "BudgetExceededError": "outcome",
+    "EXHAUSTED_NO": "outcome",
+    "SearchOutcome": "outcome",
+    "WITNESS": "outcome",
+    "CayleyWitness": "witness",
+    "format_witness_record": "witness",
+    "parse_witness_record": "witness",
+    "verify_witness": "witness",
+    "witness_ok": "witness",
+    "OutregularProfile": "zelinka",
+    "construct_monoid": "zelinka",
+    "construct_semigroup": "zelinka",
+    "decide_monoid": "zelinka",
+    "decide_semigroup": "zelinka",
+    "forest_witness": "zelinka",
+    "profile": "zelinka",
+    "FunctionFamily": "embed",
+    "embed_monoid": "embed",
+    "embed_undirected": "embed",
+    "greedy_cover": "embed",
+    "WitnessCheckError": "recognize",
+    "classify_all": "recognize",
+    "recognize_monoid_digraph": "recognize",
+    "recognize_monoid_graph": "recognize",
+    "recognize_semigroup_digraph": "recognize",
+    "sabidussi_check": "recognize",
+    "arboricity": "invariants",
+    "beta": "invariants",
+    "connectivity_bound": "invariants",
+    "independence_number": "invariants",
+    "nonmonoid_certificate": "invariants",
+    "pseudoarboricity": "invariants",
+    "spectrum": "invariants",
+    "TreeVerdict": "trees",
+    "classify_tree": "trees",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import ColoredMultiDigraph, Digraph, SimpleGraph
+from .graphs import Digraph, SimpleGraph
 
 __all__ = [
     "MulTable",
@@ -13,12 +13,8 @@ __all__ = [
     "InvalidTableError",
     "TableFormatError",
     "validate_table",
-    "left_mul_maps",
-    "is_left_cancellative",
-    "adjoin_identity",
     "check_connection_set",
     "cayley_digraph",
-    "cayley_colored",
     "underlying_graph",
     "parse_table",
     "format_table",
@@ -114,23 +110,6 @@ def validate_table(t: MulTable) -> Optional[TableViolation]:
     return None
 
 
-def left_mul_maps(t: MulTable) -> tuple:
-    """The left-multiplication map of each element: phi_s(x) = s*x."""
-    return tuple(tuple(row) for row in t.rows)
-
-
-def is_left_cancellative(t: MulTable) -> bool:
-    return all(len(set(row)) == t.order for row in t.rows)
-
-
-def adjoin_identity(t: MulTable) -> MulTable:
-    """Add a fresh two-sided identity as the new top index n."""
-    n = t.order
-    rows = [list(row) + [i] for i, row in enumerate(t.rows)]
-    rows.append(list(range(n + 1)))
-    return MulTable(n + 1, rows, identity=n)
-
-
 def check_connection_set(conn: Iterable[int], order: int) -> frozenset:
     c = frozenset(int(x) for x in conn)
     if not c:
@@ -155,14 +134,6 @@ def cayley_digraph(t: MulTable, conn: Iterable[int]) -> Digraph:
     return Digraph(t.order, {(s, t.rows[s][x]) for s in range(t.order) for x in c})
 
 
-def cayley_colored(t: MulTable, conn: Iterable[int]) -> ColoredMultiDigraph:
-    """One arc (s, s*c) per colour c; parallel arcs of distinct colours kept."""
-    _checked(t)
-    c = check_connection_set(conn, t.order)
-    return ColoredMultiDigraph(
-        t.order, [(s, t.rows[s][x], x) for s in range(t.order) for x in c])
-
-
 def underlying_graph(g: Digraph) -> SimpleGraph:
     """Forget directions, loops and multiplicities."""
     return SimpleGraph(g.order, {(u, v) for u, v in g.arcs if u != v})
@@ -177,7 +148,9 @@ class TableFormatError(ValueError):
         self.line = line
 
 
-def parse_table(text: str) -> MulTable:
+def parse_table(text: str, max_order: Optional[int] = None) -> MulTable:
+    """Read a table; a header order above ``max_order`` is refused before
+    any row is read."""
     lines = [(no, raw.strip()) for no, raw in enumerate(text.splitlines(), start=1)]
     lines = [(no, s) for no, s in lines if s and not s.startswith("#")]
     if not lines:
@@ -190,6 +163,8 @@ def parse_table(text: str) -> MulTable:
         n = int(parts[0])
     except ValueError:
         raise TableFormatError(no, f"bad order {parts[0]!r}") from None
+    if max_order is not None and n > max_order:
+        raise TableFormatError(no, f"order {n} is over the cap of {max_order}")
     identity = None
     if parts[1] != "-":
         try:

@@ -1,9 +1,18 @@
 """Command line front end.
 
 One subcommand per library entry point, line-oriented text formats on
-stdin/stdout, deterministic output.  Exit status: 0 when the requested
-decision or construction completed (including a certified negative), 1
-on input errors, 2 when a search gave up on its node or time budget.
+stdin/stdout, deterministic output.  Exit status:
+
+* 0 when the requested decision or construction completed, including a
+  certified negative;
+* 1 on input errors, among them an input order over the subcommand's cap
+  in ``MAX_ORDER``;
+* 2 when a search gave up on its node or time budget;
+* 3 on an internal error: any other exception, reported on one stderr
+  line that names its type.
+
+Each subcommand imports its library module when it runs, so a process
+loads only what its own subcommand uses.
 """
 
 from __future__ import annotations
@@ -12,34 +21,33 @@ import argparse
 import sys
 from typing import Optional
 
-from . import families, invariants, trees, zelinka
-from .algebra import TableFormatError
-from .embed import embed_monoid, embed_undirected, greedy_cover
 from .graphs import Digraph, GraphFormatError, SimpleGraph, parse_graph
 from .outcome import (
     BUDGET_EXCEEDED,
+    CENSUS_MODES,
     Budget,
     BudgetExceededError,
     DEFAULT_MAX_NODES,
     DEFAULT_MAX_SECONDS,
 )
-from .recognize import (
-    CENSUS_MODES,
-    classify_all,
-    recognize_monoid_digraph,
-    recognize_monoid_graph,
-    recognize_semigroup_digraph,
-)
-from .witness import (
-    WitnessRecordError,
-    format_witness_record,
-    parse_witness_record,
-    verify_witness,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
+EXIT_INTERNAL = 3
+
+# Largest input order each subcommand accepts.  It is checked once the
+# input is parsed, which takes time linear in the text whatever order the
+# header claims, and before any table of that order is built.
+MAX_ORDER = {
+    "check-zelinka": 4096,      # linear in the order
+    "construct-zelinka": 512,   # prints an n x n table
+    "embed": 4095,              # embed's carrier, order + maps, is at most 4096
+    "recognize": 64,            # n x n search tables
+    "tree-classify": 64,        # may escalate to the recognize search
+    "invariants": 256,          # n x n flow networks and spectra
+    "verify-witness": 4096,     # embed's largest carrier
+}
 
 
 class _CliError(Exception):
@@ -63,11 +71,15 @@ def _read_text(path: Optional[str]) -> str:
         raise _CliError(f"cannot read {path}: {exc.strerror}")
 
 
-def _input_graph(path, want=None):
+def _input_graph(args, want=None):
     try:
-        g = parse_graph(_read_text(path))
+        g = parse_graph(_read_text(args.graph))
     except GraphFormatError as exc:
         raise _CliError(str(exc))
+    cap = MAX_ORDER[args.command]
+    if g.order > cap:
+        raise _CliError(
+            f"{args.command} accepts orders up to {cap}, got {g.order}")
     if want is not None and not isinstance(g, want):
         kind = "undirected" if want is SimpleGraph else "directed"
         raise _CliError(f"this subcommand needs a {kind} graph")
@@ -86,6 +98,8 @@ def _add_budget_flags(p) -> None:
 
 
 def _emit_witness(w, g) -> None:
+    from .witness import format_witness_record
+
     sys.stdout.write(format_witness_record(w, g))
 
 
@@ -93,7 +107,9 @@ def _emit_witness(w, g) -> None:
 
 
 def _cmd_check_zelinka(args) -> int:
-    g = _input_graph(args.graph, Digraph)
+    from . import zelinka
+
+    g = _input_graph(args, Digraph)
     if not g.is_k_outregular(1):
         raise _CliError("check-zelinka needs a 1-outregular digraph")
     p = zelinka.profile(g)
@@ -106,7 +122,9 @@ def _cmd_check_zelinka(args) -> int:
 
 
 def _cmd_construct_zelinka(args) -> int:
-    g = _input_graph(args.graph, Digraph)
+    from . import zelinka
+
+    g = _input_graph(args, Digraph)
     if not g.is_k_outregular(1):
         raise _CliError("construct-zelinka needs a 1-outregular digraph")
     p = zelinka.profile(g)
@@ -125,7 +143,9 @@ def _cmd_construct_zelinka(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    g = _input_graph(args.graph)
+    from .embed import embed_monoid, embed_undirected, greedy_cover
+
+    g = _input_graph(args)
     if isinstance(g, SimpleGraph):
         w = embed_undirected(g, max_maps=args.max_maps)
         _emit_witness(w, g)
@@ -140,9 +160,15 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
+    from .recognize import (
+        recognize_monoid_digraph,
+        recognize_monoid_graph,
+        recognize_semigroup_digraph,
+    )
+
     budget = _budget(args)
     if args.mode == "monoid-graph":
-        g = _input_graph(args.graph, SimpleGraph)
+        g = _input_graph(args, SimpleGraph)
         out = recognize_monoid_graph(
             g,
             budget,
@@ -150,7 +176,7 @@ def _cmd_recognize(args) -> int:
             max_connection=args.max_connection,
         )
     else:
-        g = _input_graph(args.graph, Digraph)
+        g = _input_graph(args, Digraph)
         if args.require_generated or args.max_connection is not None:
             raise _CliError(
                 "--require-generated/--max-connection apply to monoid-graph only")
@@ -165,7 +191,9 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    g = _input_graph(args.graph, SimpleGraph)
+    from . import invariants
+
+    g = _input_graph(args, SimpleGraph)
     print(f"order\t{g.order}")
     print(f"edges\t{len(g.edges)}")
     print(f"arboricity\t{invariants.arboricity(g)}")
@@ -183,6 +211,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import families
     from .graphs import format_graph
 
     name = args.family
@@ -213,7 +242,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_tree_classify(args) -> int:
-    g = _input_graph(args.graph, SimpleGraph)
+    from . import trees
+
+    g = _input_graph(args, SimpleGraph)
     try:
         verdict = trees.classify_tree(
             g, escalate=args.escalate, budget=_budget(args))
@@ -232,6 +263,8 @@ def _cmd_tree_classify(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from .recognize import classify_all
+
     report = classify_all(
         args.order,
         args.mode,
@@ -248,9 +281,12 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify_witness(args) -> int:
+    from .witness import WitnessRecordError, parse_witness_record, verify_witness
+
     try:
-        w, g, _recorded = parse_witness_record(_read_text(args.record))
-    except (WitnessRecordError, GraphFormatError, TableFormatError) as exc:
+        w, g, _recorded = parse_witness_record(
+            _read_text(args.record), MAX_ORDER[args.command])
+    except WitnessRecordError as exc:
         raise _CliError(str(exc))
     checks = verify_witness(w, g)
     ok = True
@@ -354,6 +390,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # no input should get here; one line instead of a traceback
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}"
+              + (f": {detail}" if detail else ""), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,9 +1,8 @@
 """Graph carriers and the structural algorithms the other modules share.
 
-Vertices are dense integers ``0..n-1`` everywhere.  Three carriers appear:
-directed graphs (loops allowed, no parallel arcs), simple undirected graphs,
-and colour-labelled multi-digraphs whose colours are semigroup element
-indices.  All carriers are immutable after construction.
+Vertices are dense integers ``0..n-1`` everywhere.  Two carriers appear:
+directed graphs (loops allowed, no parallel arcs) and simple undirected
+graphs.  Both are immutable after construction.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Iterator, Union
 __all__ = [
     "Digraph",
     "SimpleGraph",
-    "ColoredMultiDigraph",
     "ComponentDecomposition",
     "GraphFormatError",
     "parse_graph",
@@ -122,40 +120,6 @@ class SimpleGraph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-
-@dataclass(frozen=True)
-class ColoredMultiDigraph:
-    """Colour-labelled multi-digraph; per colour the arcs form a total map."""
-
-    order: int
-    arcs: tuple
-
-    def __init__(self, order: int, arcs=()):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        norm = tuple(sorted((int(s), int(t), int(c)) for s, t, c in arcs))
-        seen = {}
-        for s, t, c in norm:
-            if not (0 <= s < order and 0 <= t < order):
-                raise ValueError(f"arc ({s},{t}) out of range")
-            if (s, c) in seen:
-                raise ValueError(f"colour {c} leaves vertex {s} twice")
-            seen[(s, c)] = t
-        colors = {c for _, _, c in norm}
-        for c in colors:
-            sources = {s for s, _, cc in norm if cc == c}
-            if len(sources) != order:
-                raise ValueError(f"colour {c} is not total on the vertex set")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "arcs", norm)
-
-    def colors(self) -> tuple:
-        return tuple(sorted({c for _, _, c in self.arcs}))
-
-    def to_digraph(self) -> Digraph:
-        """Forget colours and multiplicities."""
-        return Digraph(self.order, {(s, t) for s, t, _ in self.arcs})
 
 
 Graph = Union[Digraph, SimpleGraph]

@@ -10,6 +10,8 @@ WITNESS = "witness"
 EXHAUSTED_NO = "exhausted-no"
 BUDGET_EXCEEDED = "budget-exceeded"
 
+CENSUS_MODES = ("monoid-digraph", "semigroup-digraph", "monoid-graph")
+
 DEFAULT_MAX_NODES = 100_000_000
 DEFAULT_MAX_SECONDS = 600.0
 

@@ -23,7 +23,6 @@ exhausted search certifies a negative answer:
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -37,6 +36,7 @@ from .graphs import (
     is_strongly_connected,
 )
 from .outcome import (
+    CENSUS_MODES,
     Budget,
     BudgetExceededError,
     SearchOutcome,
@@ -45,8 +45,6 @@ from .outcome import (
     witness_outcome,
 )
 from .witness import CayleyWitness, generated_submonoid, verify_witness
-
-CENSUS_MODES = ("monoid-digraph", "semigroup-digraph", "monoid-graph")
 
 
 def _left_zero_with_identity(n: int) -> MulTable:
@@ -734,6 +732,8 @@ def classify_all(
     graphs = enumerate_graphs(order, kind)
     jobs = [(g, mode, max_nodes, max_seconds) for g in graphs]
     if workers and workers > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(workers) as pool:
             entries = pool.map(_run_census_instance, jobs)
     else:

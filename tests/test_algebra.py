@@ -14,13 +14,9 @@ from hypothesis import strategies as st
 from semicayley import Digraph, MulTable, TableFormatError, validate_table
 from semicayley.algebra import (
     InvalidTableError,
-    adjoin_identity,
-    cayley_colored,
     cayley_digraph,
     check_connection_set,
     format_table,
-    is_left_cancellative,
-    left_mul_maps,
     parse_table,
 )
 from semicayley import underlying_graph
@@ -113,21 +109,6 @@ def test_validate_large_order_vectorised_path():
     assert (v.kind, v.triple) == brute_violation(bad)
 
 
-def test_left_mul_maps_and_cancellativity():
-    assert left_mul_maps(cyclic_table(3))[1] == (1, 2, 0)
-    assert is_left_cancellative(cyclic_table(4))
-    assert not is_left_cancellative(left_zero_table(3))
-
-
-def test_adjoin_identity():
-    t = adjoin_identity(left_zero_table(3))
-    assert t.order == 4 and t.identity == 3
-    assert validate_table(t) is None
-    for a in range(3):
-        for b in range(3):
-            assert t.product(a, b) == a
-
-
 def test_check_connection_set():
     assert check_connection_set([1, 2, 1], 3) == frozenset({1, 2})
     with pytest.raises(ValueError):
@@ -152,13 +133,6 @@ def test_cayley_digraph_rejects_invalid_table():
     rows[1][2] = 1
     with pytest.raises(InvalidTableError):
         cayley_digraph(MulTable(3, rows), [1])
-
-
-def test_cayley_colored_keeps_colours():
-    g = cayley_colored(cyclic_table(2), [0, 1])
-    assert set(g.arcs) == {(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1)}
-    assert g.colors() == (0, 1)
-    assert set(g.to_digraph().arcs) == {(0, 0), (0, 1), (1, 1), (1, 0)}
 
 
 def test_underlying_graph_drops_loops_and_directions():

@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, cycle_graph, path_graph, petersen
+from conftest import (child_env, complete_graph, cycle_graph, path_graph,
+                      petersen)
 import semicayley
 from semicayley import (
     Digraph,
@@ -376,17 +375,70 @@ def test_enumeration_refuses_orders_past_its_cap(mode, n):
         list(enumerate_graphs(n, mode))
 
 
-def test_import_leaves_numpy_unloaded():
-    """numpy serves only spectra and tables of order >= 64, so importing the
-    package must not pay for it."""
-    package_root = str(Path(semicayley.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    code = "import sys, semicayley; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
+# -- import hygiene --------------------------------------------------------
+
+# modules outside the package that a bare import and the CLI should not load
+_WATCHED = ("numpy", "multiprocessing")
+
+
+def _loaded_in_child(code: str) -> set:
+    """Run ``code`` in a fresh interpreter and return what it loaded: the
+    package's submodules by their short names, and those in ``_WATCHED``.
+
+    ``code`` may print; the loaded names are printed on the last line.
+    """
+    probe = code + (
+        "\nimport sys\n"
+        "print(' '.join(m.split('.')[1] if m.startswith('semicayley.') else m"
+        f" for m in sys.modules if m.startswith('semicayley.') or m in {_WATCHED!r}))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_leaves_numpy_unloaded():
+    """numpy serves only spectra and tables of order >= 64, and every public
+    name loads its submodule on first use, so a bare import loads neither."""
+    assert _loaded_in_child("import semicayley") == set()
+    assert _loaded_in_child("import semicayley; semicayley.Digraph") == {"graphs"}
+
+
+def _cli_in_child(argv) -> str:
+    return ("import contextlib, io\n"
+            "from semicayley.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "assert code == 0, code\n")
+
+
+def test_cli_verify_witness_loads_no_search_module(tmp_path):
+    g = parse_graph("4 directed\n0 1\n1 2\n2 3\n3 0\n")
+    w = semicayley.construct_monoid(g)
+    record = tmp_path / "c4.rec"
+    record.write_text(semicayley.format_witness_record(w, g))
+    loaded = _loaded_in_child(_cli_in_child(["verify-witness", str(record)]))
+    assert "witness" in loaded
+    assert not loaded & {"recognize", "embed", "invariants", "trees", "zelinka",
+                         "families", "multiprocessing"}
+
+
+def test_cli_recognize_loads_only_the_search(tmp_path):
+    path = tmp_path / "c5.txt"
+    path.write_text(format_graph(cycle_graph(5)))
+    loaded = _loaded_in_child(_cli_in_child(
+        ["recognize", "--mode", "monoid-graph", str(path)]))
+    assert "recognize" in loaded
+    assert not loaded & {"multiprocessing", "embed", "trees", "zelinka"}
+
+
+def test_every_public_name_resolves():
+    for name in semicayley.__all__:
+        assert getattr(semicayley, name) is not None, name
+    assert set(semicayley.__all__) <= set(dir(semicayley))
+    assert not hasattr(semicayley, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        semicayley.no_such_name
 
 
 def test_weak_components():

@@ -30,7 +30,8 @@ from semicayley import (
     verify_witness,
     witness_ok,
 )
-from semicayley.cli import main
+from semicayley import cli
+from semicayley.cli import MAX_ORDER, main
 from semicayley.families import looped_path_digraph, gen_threshold
 from semicayley.witness import CayleyWitness, WitnessRecordError
 from semicayley.zelinka import forest_witness
@@ -238,6 +239,67 @@ def test_cli_missing_file_exit_one(capsys):
     code = main(["check-zelinka", "/nonexistent/graph.txt"])
     _, err = capsys.readouterr()
     assert code == 1 and "cannot read" in err
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["check-zelinka"], "directed"),
+    (["construct-zelinka"], "directed"),
+    (["embed"], "undirected"),
+    (["recognize", "--mode", "monoid-digraph"], "directed"),
+    (["recognize", "--mode", "monoid-graph"], "undirected"),
+    (["tree-classify"], "undirected"),
+    (["invariants"], "undirected"),
+])
+def test_cli_refuses_orders_over_the_cap(argv, kind, monkeypatch, capsys):
+    cap = MAX_ORDER[argv[0]]
+    code, out, err = run_cli(argv, f"{cap + 1} {kind}\n", monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {argv[0]} accepts orders up to {cap}, got {cap + 1}\n"
+
+
+def test_cli_recognize_accepts_its_cap(monkeypatch, capsys):
+    """The cap leaves room for the deep searches at orders 36 and 45."""
+    cap = MAX_ORDER["recognize"]
+    assert cap >= 45
+    code, out, _ = run_cli(["recognize", "--mode", "monoid-graph"],
+                           f"{cap} undirected\n", monkeypatch, capsys)
+    assert code == 0 and out.startswith("status: witness\n")
+
+
+def _record(graph: str, table: str) -> str:
+    return ("cayley-witness\nmode: monoid-digraph\ncarrier: directed\n"
+            f"graph:\n{graph}end-graph\ntable:\n{table}end-table\n"
+            "connection: 0\nvertex-map: 0\nend-witness\n")
+
+
+def test_cli_verify_witness_refuses_orders_over_the_cap(monkeypatch, capsys):
+    cap = MAX_ORDER["verify-witness"]
+    code, out, err = run_cli(["verify-witness"],
+                             _record("1 directed\n0 0\n", f"{cap + 1} 0\n"),
+                             monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert f"order {cap + 1} is over the cap of {cap}" in err
+    code, out, err = run_cli(["verify-witness"],
+                             _record(f"{cap + 1} directed\n", "1 0\n0\n"),
+                             monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert f"graph order {cap + 1} is over the cap of {cap}" in err
+    code, out, _ = run_cli(["verify-witness"],
+                           _record("1 directed\n0 0\n", "1 0\n0\n"),
+                           monkeypatch, capsys)
+    assert code == 0 and "false" not in out
+
+
+def test_cli_unexpected_exception_exits_three(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("broken\non two lines")
+
+    monkeypatch.setattr(cli, "_cmd_check_zelinka", broken)
+    code, out, err = run_cli(["check-zelinka"], "1 directed\n0 0\n",
+                             monkeypatch, capsys)
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: broken on two lines\n"
+    assert "Traceback" not in err
 
 
 def assert_gen_looped_path(proc):
