@@ -148,9 +148,7 @@ class TableFormatError(ValueError):
         self.line = line
 
 
-def parse_table(text: str, max_order: Optional[int] = None) -> MulTable:
-    """Read a table; a header order above ``max_order`` is refused before
-    any row is read."""
+def parse_table(text: str) -> MulTable:
     lines = [(no, raw.strip()) for no, raw in enumerate(text.splitlines(), start=1)]
     lines = [(no, s) for no, s in lines if s and not s.startswith("#")]
     if not lines:
@@ -163,8 +161,6 @@ def parse_table(text: str, max_order: Optional[int] = None) -> MulTable:
         n = int(parts[0])
     except ValueError:
         raise TableFormatError(no, f"bad order {parts[0]!r}") from None
-    if max_order is not None and n > max_order:
-        raise TableFormatError(no, f"order {n} is over the cap of {max_order}")
     identity = None
     if parts[1] != "-":
         try:

@@ -29,6 +29,7 @@ from .outcome import (
     BudgetExceededError,
     DEFAULT_MAX_NODES,
     DEFAULT_MAX_SECONDS,
+    MAX_CARRIER_ORDER,
 )
 
 EXIT_OK = 0
@@ -40,13 +41,13 @@ EXIT_INTERNAL = 3
 # input is parsed, which takes time linear in the text whatever order the
 # header claims, and before any table of that order is built.
 MAX_ORDER = {
-    "check-zelinka": 4096,      # linear in the order
-    "construct-zelinka": 512,   # prints an n x n table
-    "embed": 4095,              # embed's carrier, order + maps, is at most 4096
-    "recognize": 64,            # n x n search tables
-    "tree-classify": 64,        # may escalate to the recognize search
-    "invariants": 256,          # n x n flow networks and spectra
-    "verify-witness": 4096,     # embed's largest carrier
+    "check-zelinka": 4096,                      # linear in the order
+    "construct-zelinka": 512,                   # prints an n x n table
+    "embed": MAX_CARRIER_ORDER - 1,             # carrier is order + maps
+    "recognize": 64,                            # n x n search tables
+    "tree-classify": 512,                       # one n x n walk table
+    "invariants": 256,                          # n x n flow networks and spectra
+    "verify-witness": MAX_CARRIER_ORDER,        # embed's largest carrier
 }
 
 
@@ -71,15 +72,19 @@ def _read_text(path: Optional[str]) -> str:
         raise _CliError(f"cannot read {path}: {exc.strerror}")
 
 
+def _check_order(args, order: int) -> None:
+    cap = MAX_ORDER[args.command]
+    if order > cap:
+        raise _CliError(
+            f"{args.command} accepts orders up to {cap}, got {order}")
+
+
 def _input_graph(args, want=None):
     try:
         g = parse_graph(_read_text(args.graph))
     except GraphFormatError as exc:
         raise _CliError(str(exc))
-    cap = MAX_ORDER[args.command]
-    if g.order > cap:
-        raise _CliError(
-            f"{args.command} accepts orders up to {cap}, got {g.order}")
+    _check_order(args, g.order)
     if want is not None and not isinstance(g, want):
         kind = "undirected" if want is SimpleGraph else "directed"
         raise _CliError(f"this subcommand needs a {kind} graph")
@@ -284,10 +289,10 @@ def _cmd_verify_witness(args) -> int:
     from .witness import WitnessRecordError, parse_witness_record, verify_witness
 
     try:
-        w, g, _recorded = parse_witness_record(
-            _read_text(args.record), MAX_ORDER[args.command])
+        w, g, _recorded = parse_witness_record(_read_text(args.record))
     except WitnessRecordError as exc:
         raise _CliError(str(exc))
+    _check_order(args, max(g.order, w.table.order))
     checks = verify_witness(w, g)
     ok = True
     for name, val in checks.items():

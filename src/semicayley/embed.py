@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from .algebra import MulTable
 from .graphs import Digraph, SimpleGraph
 from .invariants import orientation_with_outdegree, pseudoarboricity
-from .outcome import BudgetExceededError
+from .outcome import MAX_CARRIER_ORDER, BudgetExceededError
 from .recognize import _verified
 from .witness import CayleyWitness
 
@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_MAPS = 10**6
-DEFAULT_MAX_ORDER = 4096
+DEFAULT_MAX_ORDER = MAX_CARRIER_ORDER
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ BUDGET_EXCEEDED = "budget-exceeded"
 
 CENSUS_MODES = ("monoid-digraph", "semigroup-digraph", "monoid-graph")
 
+# Largest carrier an embedding may build (vertices plus closure maps).
+MAX_CARRIER_ORDER = 4096
+
 DEFAULT_MAX_NODES = 100_000_000
 DEFAULT_MAX_SECONDS = 600.0
 

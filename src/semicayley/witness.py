@@ -199,12 +199,8 @@ def format_witness_record(w: CayleyWitness, g) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_witness_record(text: str, max_order: Optional[int] = None):
-    """Parse a record; returns (witness, graph, recorded_checks).
-
-    A graph or table order above ``max_order`` is refused before the table
-    is built.
-    """
+def parse_witness_record(text: str):
+    """Parse a record; returns (witness, graph, recorded_checks)."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "cayley-witness":
         raise WitnessRecordError("missing 'cayley-witness' header")
@@ -251,11 +247,8 @@ def parse_witness_record(text: str, max_order: Optional[int] = None):
         g = parse_graph(blocks["graph"])
     except GraphFormatError as exc:
         raise WitnessRecordError(f"bad graph block: {exc}") from None
-    if max_order is not None and g.order > max_order:
-        raise WitnessRecordError(
-            f"graph order {g.order} is over the cap of {max_order}")
     try:
-        table = parse_table(blocks["table"], max_order)
+        table = parse_table(blocks["table"])
     except ValueError as exc:
         raise WitnessRecordError(f"bad table block: {exc}") from None
 

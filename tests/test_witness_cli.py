@@ -273,21 +273,44 @@ def _record(graph: str, table: str) -> str:
 
 
 def test_cli_verify_witness_refuses_orders_over_the_cap(monkeypatch, capsys):
+    from semicayley.embed import DEFAULT_MAX_ORDER
+
     cap = MAX_ORDER["verify-witness"]
-    code, out, err = run_cli(["verify-witness"],
-                             _record("1 directed\n0 0\n", f"{cap + 1} 0\n"),
-                             monkeypatch, capsys)
-    assert (code, out) == (1, "")
-    assert f"order {cap + 1} is over the cap of {cap}" in err
+    assert cap == DEFAULT_MAX_ORDER == MAX_ORDER["embed"] + 1
     code, out, err = run_cli(["verify-witness"],
                              _record(f"{cap + 1} directed\n", "1 0\n0\n"),
                              monkeypatch, capsys)
     assert (code, out) == (1, "")
-    assert f"graph order {cap + 1} is over the cap of {cap}" in err
+    assert err == f"error: verify-witness accepts orders up to {cap}, got {cap + 1}\n"
+    # a table header over the cap without its rows fails to parse at once
+    code, out, err = run_cli(["verify-witness"],
+                             _record("1 directed\n0 0\n", f"{cap + 1} 0\n"),
+                             monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert "bad table block" in err
     code, out, _ = run_cli(["verify-witness"],
                            _record("1 directed\n0 0\n", "1 0\n0\n"),
                            monkeypatch, capsys)
     assert code == 0 and "false" not in out
+
+
+def test_cli_verify_witness_caps_the_table_order(monkeypatch, capsys):
+    """A complete table one over the cap, with the cap lowered to 1."""
+    monkeypatch.setitem(MAX_ORDER, "verify-witness", 1)
+    code, out, err = run_cli(["verify-witness"],
+                             _record("1 directed\n0 0\n", "2 0\n0 1\n1 1\n"),
+                             monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: verify-witness accepts orders up to 1, got 2\n"
+
+
+def test_cli_tree_classify_perfect_binary_depth_six(monkeypatch, capsys):
+    """The 127-vertex perfect binary tree is classified, not refused."""
+    code, tree, _ = run_cli(["gen", "perfect-kary", "2", "6"], "",
+                            monkeypatch, capsys)
+    assert code == 0 and tree.startswith("127 undirected\n")
+    code, out, _ = run_cli(["tree-classify", "-"], tree, monkeypatch, capsys)
+    assert code == 0 and out.startswith("verdict: yes\n")
 
 
 def test_cli_unexpected_exception_exits_three(monkeypatch, capsys):
