@@ -38,6 +38,7 @@ _EXPORTS = {
     "parse_witness_record": "witness",
     "verify_witness": "witness",
     "witness_ok": "witness",
+    "WitnessCheckError": "witness",
     "OutregularProfile": "zelinka",
     "construct_monoid": "zelinka",
     "construct_semigroup": "zelinka",
@@ -49,7 +50,6 @@ _EXPORTS = {
     "embed_monoid": "embed",
     "embed_undirected": "embed",
     "greedy_cover": "embed",
-    "WitnessCheckError": "recognize",
     "classify_all": "recognize",
     "recognize_monoid_digraph": "recognize",
     "recognize_monoid_graph": "recognize",

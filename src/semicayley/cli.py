@@ -6,10 +6,15 @@ stdin/stdout, deterministic output.  Exit status:
 * 0 when the requested decision or construction completed, including a
   certified negative;
 * 1 on input errors, among them an input order over the subcommand's cap
-  in ``MAX_ORDER``;
+  in ``MAX_ORDER``, a ``gen`` family given the wrong number of parameters
+  or more than ``MAX_CARRIER_ORDER`` vertices, and ``census --workers``
+  below 1 or above the CPU count;
 * 2 when a search gave up on its node or time budget;
 * 3 on an internal error: any other exception, reported on one stderr
-  line that names its type.
+  line that names its type;
+* 141 (128 + SIGPIPE, as a shell reports a writer killed by that signal)
+  when stdout was closed before the output was written, for example by
+  ``| head``; nothing is printed on stderr.
 
 Each subcommand imports its library module when it runs, so a process
 loads only what its own subcommand uses.
@@ -18,6 +23,7 @@ loads only what its own subcommand uses.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -36,6 +42,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
+EXIT_CLOSED_STDOUT = 141
 
 # Largest input order each subcommand accepts.  It is checked once the
 # input is parsed, which takes time linear in the text whatever order the
@@ -215,34 +222,52 @@ def _cmd_invariants(args) -> int:
     return EXIT_OK
 
 
+def _kary_order(k: int, h: int) -> int:
+    """Vertex count of the perfect k-ary tree of height h, summed level by
+    level only until it passes ``MAX_CARRIER_ORDER``."""
+    total, level = 0, 1
+    for _ in range(min(h, MAX_CARRIER_ORDER) + 1):
+        total, level = total + level, level * k
+        if total > MAX_CARRIER_ORDER:
+            break
+    return total
+
+
+# family -> (builder in ``families``, parameter names, vertex count of what
+# the builder makes; gklk merges the wide layer of a gkl it builds first)
+GEN_FAMILIES = {
+    "gkl": ("gen_Gkl", ("k", "ell"), lambda k, ell: k * k + (ell - 1) * k),
+    "gklk": ("gen_Gklk", ("k", "ell", "kappa"),
+             lambda k, ell, _: k * k + (ell - 1) * k),
+    "threshold": ("gen_threshold", (), lambda seq: len(seq) + 1),
+    "k4cl": ("gen_K4_Cl", ("ell",), lambda ell: 4 + ell),
+    "perfect-kary": ("gen_perfect_kary", ("k", "h"), _kary_order),
+    "tplus": ("gen_Tplus", ("k", "h"), lambda k, h: _kary_order(k, h) + 1),
+    "looped-path": ("looped_path_digraph", (), lambda: 3),
+    "smallest-tree": ("gen_smallest_tree", (), lambda: 7),
+}
+
+
 def _cmd_gen(args) -> int:
     from . import families
     from .graphs import format_graph
 
-    name = args.family
-    if name == "gkl":
-        g = families.gen_Gkl(args.params[0], args.params[1])
-    elif name == "gklk":
-        g = families.gen_Gklk(args.params[0], args.params[1], args.params[2])
-    elif name == "k4cl":
-        g = families.gen_K4_Cl(args.params[0])
-    elif name == "perfect-kary":
-        g, _root = families.gen_perfect_kary(args.params[0], args.params[1])
-    elif name == "tplus":
-        g, _root = families.gen_Tplus(args.params[0], args.params[1])
-    elif name == "looped-path":
-        g = families.looped_path_digraph()
-    elif name == "smallest-tree":
-        g = families.gen_smallest_tree()
-    elif name == "threshold":
-        seq = args.seq if args.seq is not None else ""
-        g, w = families.gen_threshold(seq)
-        sys.stdout.write(format_graph(g))
-        _emit_witness(w, g)
-        return EXIT_OK
-    else:  # unreachable; argparse restricts choices
-        raise _CliError(f"unknown family {name}")
+    name, p = args.family, args.params
+    build, names, order = GEN_FAMILIES[name]
+    if len(p) != len(names):
+        raise _CliError(f"gen {name} takes {len(names)} parameter(s)"
+                        f" ({' '.join(names) or 'none'}), got {len(p)}")
+    if name == "threshold":
+        p = [args.seq or ""]
+    if order(*p) > MAX_CARRIER_ORDER:
+        raise _CliError(f"gen builds families of up to {MAX_CARRIER_ORDER}"
+                        f" vertices; this {name} would have more")
+    g = getattr(families, build)(*p)
+    if isinstance(g, tuple):  # with its root, or with its witness
+        g, extra = g
     sys.stdout.write(format_graph(g))
+    if name == "threshold":
+        _emit_witness(extra, g)
     return EXIT_OK
 
 
@@ -270,6 +295,9 @@ def _cmd_tree_classify(args) -> int:
 def _cmd_census(args) -> int:
     from .recognize import classify_all
 
+    cpus = os.cpu_count() or 1
+    if args.workers is not None and not 1 <= args.workers <= cpus:
+        raise _CliError(f"--workers must be between 1 and {cpus}, got {args.workers}")
     report = classify_all(
         args.order,
         args.mode,
@@ -347,9 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_invariants)
 
     q = sub.add_parser("gen", help="named graph families")
-    q.add_argument("family",
-                   choices=("gkl", "gklk", "threshold", "k4cl",
-                            "perfect-kary", "tplus", "looped-path", "smallest-tree"))
+    q.add_argument("family", choices=tuple(GEN_FAMILIES))
     q.add_argument("params", type=int, nargs="*",
                    help="integer parameters, per family")
     q.add_argument("--seq", default=None,
@@ -385,7 +411,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so the interpreter's
+        # final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -18,8 +18,7 @@ from .algebra import MulTable
 from .graphs import Digraph, SimpleGraph
 from .invariants import orientation_with_outdegree, pseudoarboricity
 from .outcome import MAX_CARRIER_ORDER, BudgetExceededError
-from .recognize import _verified
-from .witness import CayleyWitness
+from .witness import CayleyWitness, _verified
 
 __all__ = [
     "FunctionFamily",

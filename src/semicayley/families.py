@@ -11,8 +11,7 @@ from typing import Tuple
 
 from .algebra import MulTable
 from .graphs import Digraph, SimpleGraph, is_strongly_connected
-from .recognize import _verified
-from .witness import CayleyWitness
+from .witness import CayleyWitness, _verified
 
 __all__ = [
     "gen_Gkl",

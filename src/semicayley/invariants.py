@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from .graphs import Digraph, SimpleGraph, _MaxFlow, weak_components
 
@@ -26,7 +26,6 @@ __all__ = [
     "beta",
     "SpectralProfile",
     "spectrum",
-    "mixing_check",
     "beta_upper_bound",
     "beta_lower_bound",
     "connectivity_bound",
@@ -273,23 +272,6 @@ def synthetic_profile(order: int, degree: int, lam: float) -> SpectralProfile:
     """Profile with prescribed (n, d, lambda); eigenvalues left empty.
     Used to evaluate the bound arithmetic away from a concrete graph."""
     return SpectralProfile(order, (), degree, lam)
-
-
-def mixing_check(g: SimpleGraph, s, t) -> Tuple[float, float]:
-    """Expander mixing inequality sides for vertex sets S, T:
-    |e(S,T) - d|S||T|/n| and lambda * sqrt(|S||T|(1-|S|/n)(1-|T|/n)).
-    e(S, T) counts ordered pairs, so edges inside S and T count twice."""
-    p = spectrum(g)
-    if p.degree is None:
-        raise ValueError("mixing_check needs a regular graph")
-    sset, tset = set(s), set(t)
-    n = g.order
-    est = sum(1 for u in sset for v in tset
-              if (min(u, v), max(u, v)) in g.edges)
-    lhs = abs(est - p.degree * len(sset) * len(tset) / n)
-    rhs = p.lam * math.sqrt(
-        len(sset) * len(tset) * (1 - len(sset) / n) * (1 - len(tset) / n))
-    return lhs, rhs
 
 
 def _lam_rational(lam: float) -> Fraction:

@@ -44,7 +44,9 @@ from .outcome import (
     no_outcome,
     witness_outcome,
 )
-from .witness import CayleyWitness, generated_submonoid, verify_witness
+# WitnessCheckError is imported so that it stays reachable from here too
+from .witness import (CayleyWitness, WitnessCheckError, _verified,  # noqa: F401
+                      generated_submonoid)
 
 
 def _left_zero_with_identity(n: int) -> MulTable:
@@ -380,28 +382,6 @@ def _witness_from_table(mode, table, connection, carrier) -> CayleyWitness:
     )
 
 
-def _checked(witness, graph) -> bool:
-    return all(verify_witness(witness, graph).values())
-
-
-class WitnessCheckError(RuntimeError):
-    """A witness built by a search, an embedding or a family generator
-    failed its own re-verification."""
-
-
-def _verified(witness: CayleyWitness, graph) -> CayleyWitness:
-    """Return ``witness`` once every check of ``verify_witness`` holds.
-
-    An explicit check rather than ``assert``, so that it also runs under
-    ``python -O``.
-    """
-    failed = [k for k, ok in verify_witness(witness, graph).items() if not ok]
-    if failed:
-        raise WitnessCheckError(
-            f"{witness.mode} witness fails its own checks: {', '.join(failed)}")
-    return witness
-
-
 def _search_tables(
     mode: str,
     g: Graph,
@@ -656,11 +636,8 @@ def sabidussi_check(g: Digraph, budget: Optional[Budget] = None) -> SearchOutcom
             if extend(0):
                 rows = tuple(chosen[x] for x in range(n))
                 table = MulTable(n, rows, identity=e)
-                if validate_table(table) is not None:
-                    continue
                 w = _witness_from_table("monoid-digraph", table, conn, "directed")
-                if _checked(w, g):
-                    return witness_outcome(w, budget)
+                return witness_outcome(_verified(w, g), budget)
     except BudgetExceededError:
         return budget_outcome(budget)
     return no_outcome(budget)

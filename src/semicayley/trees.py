@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import MulTable, validate_table
+from .algebra import MulTable
 from .graphs import SimpleGraph
 from .outcome import Budget
-from .witness import CayleyWitness, witness_ok
+from .witness import CayleyWitness, WitnessCheckError, _verified
 
 YES = "yes"
 NO = "no"
@@ -198,27 +198,22 @@ def construct_generated_witness(a: RootedTreeAnalysis) -> CayleyWitness:
                 x = step(x, i)
             row.append(x)
         rows.append(tuple(row))
+    # the sufficient condition is what makes this associative; _verified
+    # checks that with the rest of the witness
     table = MulTable(n, tuple(rows), identity=e)
-    # the sufficient condition is exactly what makes this associative
-    bad = validate_table(table)
-    if bad is not None:
-        raise AssertionError(f"walk table not associative: {bad}")
-    conn = frozenset(children[e])
     # colored agreement: multiplying by the i-th letter is the i-th step
     for x in range(n):
         for i, c in enumerate(children[e]):
             if rows[x][c] != step(x, i):
-                raise AssertionError("colored arcs disagree with labeling")
+                raise WitnessCheckError("colored arcs disagree with labeling")
     w = CayleyWitness(
         mode="generated-monoid-tree",
         table=table,
-        connection=conn,
+        connection=frozenset(children[e]),
         vertex_map=tuple(range(n)),
         carrier="undirected",
     )
-    if not witness_ok(w, t):
-        raise AssertionError("constructed tree witness failed verification")
-    return w
+    return _verified(w, t)
 
 
 def necessary_check(a: RootedTreeAnalysis, symmetry_free: bool):
@@ -326,7 +321,7 @@ def classify_tree(
             w = construct_generated_witness(a)
             sf = not symmetry_condition(t, e)
             if necessary_check(a, sf) is not None:
-                raise AssertionError(
+                raise WitnessCheckError(
                     "sufficient condition held but a necessary one failed")
             details[e] = ("sufficient",)
             return TreeVerdict(YES, w, tuple(cands), details)

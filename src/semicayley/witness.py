@@ -2,8 +2,9 @@
 
 A witness packages a multiplication table, a connection set and a vertex
 bijection.  Every witness produced anywhere in the library is self-verifying:
-``verify_witness`` re-derives each claimed boolean from scratch, and the text
-record format carries the graph so a verifier needs nothing else.
+``verify_witness`` re-derives each claimed boolean from scratch, every
+producer passes its witness through ``_verified`` before returning it, and
+the text record format carries the graph so a verifier needs nothing else.
 
 The connection set may be empty only for edgeless carriers (an arcless
 digraph is the Cayley graph of any monoid with the empty connection set);
@@ -30,6 +31,7 @@ __all__ = [
     "format_witness_record",
     "parse_witness_record",
     "WitnessRecordError",
+    "WitnessCheckError",
 ]
 
 MODES = (
@@ -172,6 +174,24 @@ def verify_witness(w: CayleyWitness, g) -> dict:
 
 def witness_ok(w: CayleyWitness, g) -> bool:
     return all(verify_witness(w, g).values())
+
+
+class WitnessCheckError(RuntimeError):
+    """A witness built by a search, a construction or a family generator
+    failed its own re-verification."""
+
+
+def _verified(witness: CayleyWitness, graph) -> CayleyWitness:
+    """Return ``witness`` once every check of ``verify_witness`` holds.
+
+    The one self-check every producer runs on its witness: an explicit
+    check rather than ``assert``, so that it also runs under ``python -O``.
+    """
+    failed = [k for k, ok in verify_witness(witness, graph).items() if not ok]
+    if failed:
+        raise WitnessCheckError(
+            f"{witness.mode} witness fails its own checks: {', '.join(failed)}")
+    return witness
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .algebra import MulTable, underlying_graph, validate_table
+from .algebra import MulTable
 from .graphs import Digraph, SimpleGraph, weak_components
-from .witness import CayleyWitness, cayley_arc_set, witness_ok
+from .witness import CayleyWitness, WitnessCheckError, _verified
 
 __all__ = [
     "ComponentShape",
@@ -204,9 +204,7 @@ def construct_monoid(g: Digraph, e: Optional[int] = None) -> CayleyWitness:
             rows.append([walk(p, x, r[y]) if in_c[y] else y for y in range(n)])
     table = MulTable(n, rows, identity=e)
     w = CayleyWitness("monoid-digraph", table, {a}, tuple(range(n)))
-    if validate_table(table) is not None or cayley_arc_set(table, {a}) != g.arcs:
-        raise AssertionError("monoid construction failed self-verification")
-    return w
+    return _verified(w, g)
 
 
 def construct_semigroup(g: Digraph) -> CayleyWitness:
@@ -223,12 +221,10 @@ def construct_semigroup(g: Digraph) -> CayleyWitness:
     big = construct_monoid(extended, e=n)
     rows = big.table.rows
     if any(rows[x][y] == n for x in range(n) for y in range(n)):
-        raise AssertionError("semigroup reduction not closed without neutral")
+        raise WitnessCheckError("semigroup reduction not closed without neutral")
     table = MulTable(n, [row[:n] for row in rows[:n]], identity=None)
     w = CayleyWitness("semigroup-digraph", table, {v}, tuple(range(n)))
-    if validate_table(table) is not None or cayley_arc_set(table, {v}) != g.arcs:
-        raise AssertionError("semigroup construction failed self-verification")
-    return w
+    return _verified(w, g)
 
 
 def forest_witness(f: SimpleGraph) -> CayleyWitness:
@@ -259,9 +255,6 @@ def forest_witness(f: SimpleGraph) -> CayleyWitness:
                     queue.append(w)
     oriented = Digraph(n, arcs)
     base = construct_monoid(oriented)
-    conn = set(base.connection)
-    w = CayleyWitness("monoid-graph", base.table, conn, tuple(range(n)),
-                      carrier="undirected")
-    if underlying_graph(Digraph(n, cayley_arc_set(base.table, conn))).edges != f.edges:
-        raise AssertionError("forest witness failed self-verification")
-    return w
+    w = CayleyWitness("monoid-graph", base.table, base.connection,
+                      tuple(range(n)), carrier="undirected")
+    return _verified(w, f)

@@ -157,13 +157,14 @@ def test_embed_monoid_random_sink_free(data):
 
 SELF_CHECK_SCRIPT = """
 import sys
-import semicayley.recognize as rec
-from semicayley import Digraph, SimpleGraph, embed_monoid, embed_undirected, greedy_cover
+import semicayley.witness
+from semicayley import (Digraph, SimpleGraph, WitnessCheckError, embed_monoid,
+                        embed_undirected, greedy_cover)
 from semicayley.families import gen_threshold
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-rec.verify_witness = lambda w, g: {"roundtrip": False}
+semicayley.witness.verify_witness = lambda w, g: {"roundtrip": False}
 cycle = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 cases = [
     (embed_monoid, (cycle, greedy_cover(cycle, 1))),
@@ -173,7 +174,7 @@ cases = [
 for build, args in cases:
     try:
         build(*args)
-    except rec.WitnessCheckError as exc:
+    except WitnessCheckError as exc:
         print(exc)
     else:
         sys.exit(build.__name__ + " returned a witness that fails its checks")
@@ -182,7 +183,7 @@ for build, args in cases:
 
 def test_embedding_and_family_self_checks_run_under_python_O():
     """Embeddings and the threshold family re-verify their witnesses with
-    the check the recognizers use, which ``python -O`` keeps."""
+    the one check in ``witness``, which ``python -O`` keeps."""
     proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
                           capture_output=True, text=True, env=child_env(),
                           timeout=60)

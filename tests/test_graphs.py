@@ -432,6 +432,16 @@ def test_cli_recognize_loads_only_the_search(tmp_path):
     assert not loaded & {"multiprocessing", "embed", "trees", "zelinka"}
 
 
+def test_cli_embed_and_gen_threshold_load_no_search(tmp_path):
+    """Both re-verify their witnesses through ``witness``, not ``recognize``."""
+    path = tmp_path / "c5.txt"
+    path.write_text(format_graph(cycle_graph(5)))
+    for argv in (["embed", str(path)], ["gen", "threshold", "--seq", "idd"]):
+        loaded = _loaded_in_child(_cli_in_child(argv))
+        assert "witness" in loaded, argv
+        assert not loaded & {"recognize", "multiprocessing"}, argv
+
+
 def test_every_public_name_resolves():
     for name in semicayley.__all__:
         assert getattr(semicayley, name) is not None, name

@@ -29,7 +29,6 @@ from semicayley.invariants import (
     OrientationInfeasible,
     beta_lower_bound,
     beta_upper_bound,
-    mixing_check,
     orientation_with_outdegree,
     profile_certificate,
     synthetic_profile,
@@ -208,16 +207,6 @@ def test_eigenvalue_traces_random(data):
     assert abs(sum(eig)) < 1e-6
     assert abs(sum(x * x for x in eig) - 2 * len(g.edges)) < 1e-6
     assert abs(sum(x ** 3 for x in eig) - 6 * brute_triangles(g)) < 1e-6
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_mixing_inequality_on_petersen(data):
-    g = petersen()
-    s = data.draw(st.sets(st.integers(0, 9), min_size=1, max_size=10))
-    t = data.draw(st.sets(st.integers(0, 9), min_size=1, max_size=10))
-    lhs, rhs = mixing_check(g, s, t)
-    assert lhs <= rhs + 1e-9
 
 
 def test_beta_bounds_bracket_true_values():

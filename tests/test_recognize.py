@@ -268,35 +268,46 @@ def test_deep_search_has_no_recursion_limit(n, nodes):
 SELF_CHECK_SCRIPT = """
 import sys
 import semicayley.recognize as rec
-from semicayley import Budget, Digraph, SimpleGraph
+import semicayley.witness
+from semicayley import (Budget, Digraph, SimpleGraph, WitnessCheckError,
+                        classify_tree, construct_monoid, construct_semigroup,
+                        forest_witness)
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-rec.verify_witness = lambda w, g: {"roundtrip": False}
+semicayley.witness.verify_witness = lambda w, g: {"roundtrip": False}
 cycle = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+path = SimpleGraph(3, [(0, 1), (1, 2)])
 cases = [
-    (rec.recognize_monoid_digraph, cycle),
-    (rec.recognize_semigroup_digraph, cycle),
-    (rec.recognize_monoid_graph, SimpleGraph(3, [(0, 1), (1, 2)])),
-    (rec.recognize_monoid_digraph, Digraph(2)),
-    (rec.recognize_semigroup_digraph, Digraph(2)),
-    (rec.recognize_monoid_graph, SimpleGraph(2)),
+    (rec.recognize_monoid_digraph, cycle, Budget()),
+    (rec.recognize_semigroup_digraph, cycle, Budget()),
+    (rec.recognize_monoid_graph, path, Budget()),
+    (rec.recognize_monoid_digraph, Digraph(2), Budget()),
+    (rec.recognize_semigroup_digraph, Digraph(2), Budget()),
+    (rec.recognize_monoid_graph, SimpleGraph(2), Budget()),
+    (rec.sabidussi_check, cycle, Budget()),
+    (construct_monoid, cycle),
+    (construct_semigroup, cycle),
+    (forest_witness, path),
+    (classify_tree, path),  # the sufficient condition holds at vertex 0
 ]
-for recognize, g in cases:
+for produce, *args in cases:
     try:
-        recognize(g, Budget())
-    except rec.WitnessCheckError as exc:
+        produce(*args)
+    except WitnessCheckError as exc:
         print(exc)
     else:
-        sys.exit(recognize.__name__ + " returned a witness that fails its checks")
+        sys.exit(produce.__name__ + " returned a witness that fails its checks")
 """
 
 
 def test_witness_self_check_runs_under_python_O():
-    """Each recognizer re-verifies its witness (searched or edgeless) with
-    a check that ``python -O`` keeps; here every check is made to fail."""
+    """Each recognizer (searched or edgeless witness), the endomorphism
+    search, the Zelinka constructions and the tree classifier re-verify
+    their witnesses with the one check in ``witness``, which ``python -O``
+    keeps; here every check is made to fail."""
     proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
                           capture_output=True, text=True, env=child_env(),
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("fails its own checks: roundtrip\n") == 6
+    assert proc.stdout.count("fails its own checks: roundtrip\n") == 11

@@ -7,32 +7,40 @@ declares and calls it the way an installed wrapper does, against the same
 package the suite imports; the other runs the ``semicayley`` executable on
 ``PATH`` and is skipped where none is installed. Two more run the package
 with ``python -m``: ``python -m semicayley gen looped-path``, and a
-``recognize`` whose search goes 36 cells deep.
+``recognize`` whose search goes 36 cells deep, and one more runs
+``tree-classify`` into a pipe that is closed after the first line.
 """
 
 from __future__ import annotations
 
 import io
+import multiprocessing
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import child_env, cycle_graph, looped_to_zero
+from conftest import child_env, cycle_graph, functional_digraph, looped_to_zero
 from semicayley import (
+    Digraph,
     MulTable,
+    SimpleGraph,
     construct_monoid,
+    embed_monoid,
     format_graph,
     format_witness_record,
+    greedy_cover,
     parse_witness_record,
     verify_witness,
     witness_ok,
 )
 from semicayley import cli
 from semicayley.cli import MAX_ORDER, main
-from semicayley.families import looped_path_digraph, gen_threshold
+from semicayley.families import gen_perfect_kary, looped_path_digraph, gen_threshold
 from semicayley.witness import CayleyWitness, WitnessRecordError
 from semicayley.zelinka import forest_witness
 
@@ -51,7 +59,6 @@ def roundtrip(w, g):
 
 
 def test_record_roundtrip_digraph_witness():
-    from conftest import functional_digraph
     g = functional_digraph([1, 2, 0, 0])
     roundtrip(construct_monoid(g), g)
 
@@ -80,6 +87,52 @@ def test_tampered_record_fails_verification():
 def test_parse_record_rejects_garbage():
     with pytest.raises(WitnessRecordError):
         parse_witness_record("not a record\n")
+
+
+def _valid_records():
+    g = functional_digraph([1, 2, 0, 0])
+    f = SimpleGraph(4, [(0, 1), (1, 2)])
+    c = Digraph(3, [(0, 1), (1, 2), (2, 0), (2, 2)])
+    return [format_witness_record(construct_monoid(g), g),
+            format_witness_record(forest_witness(f), f),
+            format_witness_record(embed_monoid(c, greedy_cover(c, 2)), c)]
+
+
+VALID_RECORDS = _valid_records()
+RECORD_LINES = sorted({line for r in VALID_RECORDS for line in r.splitlines()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_records_parse_or_raise_record_error(data):
+    """Records with lines replaced, inserted or deleted and digits flipped
+    either parse, and then verify to a dict of checks, or raise
+    ``WitnessRecordError``; no other exception escapes."""
+    lines = data.draw(st.sampled_from(VALID_RECORDS)).splitlines()
+    some_line = st.one_of(st.sampled_from(RECORD_LINES),
+                          st.text("0123456789 :-abcdeghnprt", max_size=12))
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(("replace", "insert", "delete", "flip")))
+        i = data.draw(st.integers(0, len(lines)))
+        if op == "insert":
+            lines.insert(i, data.draw(some_line))
+        elif op == "flip":
+            digits = [(r, c) for r, line in enumerate(lines)
+                      for c, ch in enumerate(line) if ch.isdigit()]
+            if digits:
+                r, c = data.draw(st.sampled_from(digits))
+                d = data.draw(st.sampled_from("0123456789"))
+                lines[r] = lines[r][:c] + d + lines[r][c + 1:]
+        elif i < len(lines):
+            if op == "replace":
+                lines[i] = data.draw(some_line)
+            else:
+                del lines[i]
+    try:
+        w, g, _ = parse_witness_record("\n".join(lines) + "\n")
+    except WitnessRecordError:
+        return
+    assert isinstance(verify_witness(w, g), dict)
 
 
 def test_witness_rejects_unknown_mode():
@@ -323,6 +376,83 @@ def test_cli_unexpected_exception_exits_three(monkeypatch, capsys):
     assert (code, out) == (3, "")
     assert err == "internal error: RuntimeError: broken on two lines\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("params", [
+    ["gkl", "2"], ["gklk", "2", "3"], ["k4cl"], ["perfect-kary", "2"],
+    ["tplus", "2", "3", "4"], ["looped-path", "1"], ["smallest-tree", "1"],
+    ["threshold", "1"],
+])
+def test_cli_gen_checks_the_parameter_count(params, capsys):
+    code, out, err = run_cli(["gen", *params], capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: gen {params[0]} takes ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("params", [
+    ["gkl", "1", "4097"],            # k^2 + (ell - 1) k = 4097
+    ["gklk", "1", "4097", "1"],      # merges a 4097-vertex gkl
+    ["k4cl", "4093"],
+    ["perfect-kary", "2", "12"],     # 8,191
+    ["perfect-kary", "2", "40"],     # refused before any level is built
+    ["tplus", "1", "4095"],          # a 4096-vertex path plus one leaf
+])
+def test_cli_gen_refuses_families_over_the_cap(params, capsys):
+    assert cli.MAX_CARRIER_ORDER == 4096
+    code, out, err = run_cli(["gen", *params], capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: gen builds families of up to 4096 vertices; "
+                   f"this {params[0]} would have more\n")
+
+
+def test_cli_gen_accepts_families_at_the_cap(monkeypatch, capsys):
+    for params, n in ((["k4cl", "4092"], 4096), (["tplus", "2", "11"], 4096)):
+        code, out, _ = run_cli(["gen", *params], capsys=capsys)
+        assert code == 0 and out.startswith(f"{n} undirected\n")
+    # threshold graphs count one vertex more than their creation sequence
+    monkeypatch.setattr(cli, "MAX_CARRIER_ORDER", 3)
+    code, out, _ = run_cli(["gen", "threshold", "--seq", "id"], capsys=capsys)
+    assert code == 0 and out.startswith("3 undirected\n")
+    code, out, err = run_cli(["gen", "threshold", "--seq", "idd"], capsys=capsys)
+    assert (code, out) == (1, "") and err.startswith("error: gen builds")
+
+
+@pytest.mark.parametrize("workers", ["0", "100000"])
+def test_cli_census_bounds_workers_before_starting_any(workers, monkeypatch,
+                                                       capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, err = run_cli(
+        ["census", "3", "--mode", "monoid-graph", "--workers", workers],
+        capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --workers must be between 1 and ")
+    assert err.count("\n") == 1
+
+
+def test_cli_closed_stdout_exits_quietly(tmp_path):
+    """A reader that closes the pipe early is not an internal error."""
+    tree, _root = gen_perfect_kary(2, 8)
+    path = tmp_path / "t511.txt"
+    path.write_text(format_graph(tree))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semicayley.cli", "tree-classify", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    try:
+        # the witness record, about 1 MB, overflows the pipe buffer
+        assert proc.stdout.readline() == b"verdict: yes\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert code == cli.EXIT_CLOSED_STDOUT != cli.EXIT_INTERNAL
+    for text in ("Traceback", "internal error", "Exception ignored"):
+        assert text not in err
 
 
 def assert_gen_looped_path(proc):
