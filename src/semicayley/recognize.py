@@ -515,35 +515,43 @@ def recognize_monoid_graph(
 def endomorphisms(g: Digraph, budget: Optional[Budget] = None) -> List[Tuple[int, ...]]:
     """All endomorphisms of ``g`` as tuples, in lexicographic order.
 
-    Backtracking over images with arc checks against already-placed
-    vertices; intended for small orders only.
+    Vertices are placed in order 0..n-1.  A node is one partial map on
+    {0..v-1} that respects every arc among those vertices, the empty map
+    and the complete endomorphisms included: ``budget`` ticks once per
+    node.  The images allowed for v are one adjacency bitmask, the AND of
+    the out-masks of its earlier predecessors' images, the in-masks of its
+    earlier successors' images and, if v has a loop, the looped vertices;
+    its set bits are tried in ascending order.  Small orders only.
     """
     n = g.order
-    out_sets = [frozenset(s) for s in g.out_neighbors()]
+    out_mask = [0] * n
+    in_mask = [0] * n
+    for u, v in g.arcs:
+        out_mask[u] |= 1 << v
+        in_mask[v] |= 1 << u
+    looped = sum(1 << v for v in range(n) if out_mask[v] >> v & 1)
+    start = [looped if looped >> v & 1 else (1 << n) - 1 for v in range(n)]
+    earlier = [[(out_mask, u) for u in range(v) if in_mask[v] >> u & 1]
+               + [(in_mask, u) for u in range(v) if out_mask[v] >> u & 1]
+               for v in range(n)]
+    tick = budget.tick if budget is not None else lambda: None
     result: List[Tuple[int, ...]] = []
-    img = [-1] * n
+    img = [0] * n
 
     def place(v: int) -> None:
-        if budget is not None:
-            budget.tick()
-        if v == n:
-            result.append(tuple(img))
-            return
-        for w in range(n):
-            ok = True
-            for u in range(v):
-                if u in out_sets[v] and img[u] not in out_sets[w]:
-                    ok = False
-                    break
-                if v in out_sets[u] and w not in out_sets[img[u]]:
-                    ok = False
-                    break
-            if ok and v in out_sets[v] and w not in out_sets[w]:
-                ok = False
-            if ok:
-                img[v] = w
+        tick()
+        allowed = start[v]
+        for masks, u in earlier[v]:
+            allowed &= masks[img[u]]
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            img[v] = low.bit_length() - 1
+            if v < n - 1:
                 place(v + 1)
-                img[v] = -1
+            else:  # a complete endomorphism: a leaf node, no call
+                tick()
+                result.append(tuple(img))
 
     place(0)
     return result
@@ -558,25 +566,32 @@ def sabidussi_check(g: Digraph, budget: Optional[Budget] = None) -> SearchOutcom
     that every phi_x pushes some out-neighbor of e onto each out-neighbor
     of x.  The product x*y = phi_x(y) then defines the monoid.  Intended
     for order at most 8.
+
+    The nodes are those of ``endomorphisms`` (lexicographic order) plus
+    one per endomorphism tried in the selection.  phi is a candidate for
+    phi_{phi(e)} iff the out-mask of phi(e) lies inside the bitmask of
+    phi's images of the out-neighbors of e.
     """
     if g.order > 8:
         raise ValueError("endomorphism search is limited to order <= 8")
     budget = budget or Budget()
     budget.start_clock()
     n = g.order
-    out_sets = [frozenset(s) for s in g.out_neighbors()]
+    need = [0] * n
+    for u, v in g.arcs:
+        need[u] |= 1 << v
     try:
         endos = endomorphisms(g, budget)
         identity_map = tuple(range(n))
         for e in range(n):
-            conn = sorted(out_sets[e])
+            conn = [c for c in range(n) if need[e] >> c & 1]
             cands: List[List[Tuple[int, ...]]] = [[] for _ in range(n)]
-            feasible = True
             for phi in endos:
                 x = phi[e]
-                if all(
-                    any(phi[c] == y for c in conn) for y in out_sets[x]
-                ):
+                image_mask = 0
+                for c in conn:
+                    image_mask |= 1 << phi[c]
+                if not need[x] & ~image_mask:
                     cands[x].append(phi)
             if any(not c for c in cands):
                 continue

@@ -200,8 +200,12 @@ def construct_monoid(g: Digraph, e: Optional[int] = None) -> CayleyWitness:
     for x in range(n):
         if x == e:
             rows.append(list(range(n)))
-        else:
-            rows.append([walk(p, x, r[y]) if in_c[y] else y for y in range(n)])
+            continue
+        # r(y) <= d(e, omega), so one walk that long from x gives the row
+        path = [x]
+        for _ in range(dist[e]):
+            path.append(p.succ[path[-1]])
+        rows.append([path[r[y]] if in_c[y] else y for y in range(n)])
     table = MulTable(n, rows, identity=e)
     w = CayleyWitness("monoid-digraph", table, {a}, tuple(range(n)))
     return _verified(w, g)

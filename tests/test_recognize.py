@@ -9,6 +9,7 @@ left-multiplication search in ``sabidussi_check``.
 
 from __future__ import annotations
 
+import itertools
 import subprocess
 import sys
 
@@ -33,6 +34,7 @@ from semicayley import (
     witness_ok,
 )
 from semicayley.families import looped_path_digraph, gen_smallest_tree
+from semicayley.recognize import endomorphisms
 from semicayley.witness import generated_submonoid
 
 # frozen: order-3 outregular digraph census, both algebraic modes
@@ -211,6 +213,90 @@ def test_sabidussi_order_cap():
     big = Digraph(9, [(i, i) for i in range(9)])
     with pytest.raises(ValueError):
         sabidussi_check(big, fresh_budget())
+
+
+def brute_force_homs(g: Digraph, v: int) -> list:
+    """Every map {0..v-1} -> V(g) keeping the arcs among {0..v-1}, in
+    lexicographic order."""
+    arcs = [(a, b) for a, b in g.arcs if a < v and b < v]
+    return [m for m in itertools.product(range(g.order), repeat=v)
+            if all((m[a], m[b]) in g.arcs for a, b in arcs)]
+
+
+def check_endomorphisms_by_brute_force(g: Digraph) -> None:
+    budget = fresh_budget()
+    assert endomorphisms(g, budget) == brute_force_homs(g, g.order)
+    # one node per partial map on {0..v-1}, for v = 0..n
+    assert budget.nodes == sum(len(brute_force_homs(g, v))
+                               for v in range(g.order + 1))
+    assert endomorphisms(g) == brute_force_homs(g, g.order)
+
+
+def test_endomorphisms_match_brute_force_up_to_order_3():
+    digraphs = [g for n in range(1, 4) for g in enumerate_graphs(n, "digraph-all")]
+    assert len(digraphs) == 116
+    for g in digraphs:
+        check_endomorphisms_by_brute_force(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_endomorphisms_match_brute_force_at_orders_4_and_5(data):
+    n = data.draw(st.integers(4, 5))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    check_endomorphisms_by_brute_force(Digraph(n, data.draw(st.sets(pairs))))
+
+
+def test_sabidussi_totals_frozen_up_to_order_4():
+    nodes = witnesses = 0
+    for n in range(1, 5):
+        for g in enumerate_graphs(n, "digraph-all"):
+            out = sabidussi_check(g, fresh_budget())
+            assert out.status in ("witness", "exhausted-no")
+            nodes += out.nodes
+            if out.is_witness:
+                witnesses += 1
+                assert witness_ok(out.witness, g)
+    assert (nodes, witnesses) == (155079, 171)
+
+
+@pytest.mark.parametrize("g, status, full", [
+    (Digraph(3, [(0, 1), (1, 2), (2, 0)]), "witness", 11),
+    (looped_path_digraph(), "exhausted-no", 13),
+])
+def test_sabidussi_budget_stops_at_the_node_after_the_cap(g, status, full):
+    for k in range(full):
+        out = sabidussi_check(g, Budget(max_nodes=k, max_seconds=None))
+        assert (out.status, out.nodes) == ("budget-exceeded", k + 1)
+    out = sabidussi_check(g, Budget(max_nodes=full, max_seconds=None))
+    assert (out.status, out.nodes) == (status, full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_routes_agree_on_outregular_digraphs_of_order_5_and_6(data):
+    """Differential and metamorphic guard beyond A13's order 4: the
+    endomorphism route and the table search give one status, on the input
+    and on a relabelling, and on 1-outregular inputs so does the dominant
+    component rule; every witness verifies."""
+    k = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(5, 6))
+    outs = st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
+    arcs = [(u, w) for u in range(n) for w in data.draw(outs)]
+    perm = data.draw(st.permutations(range(n)))
+    graphs = (Digraph(n, arcs), Digraph(n, [(perm[u], perm[w]) for u, w in arcs]))
+    statuses = set()
+    for g in graphs:
+        for route in (sabidussi_check, recognize_monoid_digraph):
+            out = route(g, fresh_budget(10**6, 60.0))
+            assert out.status in ("witness", "exhausted-no")
+            statuses.add(out.status)
+            if out.is_witness:
+                assert witness_ok(out.witness, g)
+    assert len(statuses) == 1, sorted(arcs)
+    if k == 1:
+        expected = "witness" if decide_monoid(profile(graphs[0]))[0] else "exhausted-no"
+        assert statuses == {expected}
 
 
 def test_search_node_counts_frozen():

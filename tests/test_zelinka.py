@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import functional_digraph, nx_trees
 from semicayley import (
@@ -167,6 +169,41 @@ def test_constructions_roundtrip_all_positive_classes():
                 w = construct_semigroup(g)
                 assert witness_ok(w, g)
                 assert w.table.identity is None
+
+
+def walk_formula_rows(succ, e) -> tuple:
+    """The monoid table of ``construct_monoid`` at neutral vertex e, cell by
+    cell: x*y walks r(y) = d(e, omega) - d(y, omega) steps from x for y in
+    e's component C, with omega l(C) + z(C) - 1 steps beyond e; e's row and
+    the columns outside C are the identity."""
+    p = profile(functional_digraph(succ))
+    n = len(succ)
+    shape = p.components[p.component[e]]
+    omega = walk(p, e, shape.depth + shape.z - 1)
+
+    def d(v):
+        return next(k for k in range(n) if walk(p, v, k) == omega)
+
+    return tuple(tuple(y if x == e or p.component[y] != p.component[e]
+                       else walk(p, x, d(e) - d(y)) for y in range(n))
+                 for x in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+def test_constructions_match_the_per_cell_walk_formula(succ):
+    g = functional_digraph(succ)
+    p = profile(g)
+    n = len(succ)
+    if decide_monoid(p)[0]:
+        w = construct_monoid(g)
+        assert tuple(map(tuple, w.table.rows)) == walk_formula_rows(succ, w.table.identity)
+    if decide_semigroup(p)[0]:
+        w = construct_semigroup(g)
+        (v,) = w.connection       # the fresh neutral vertex n points at v
+        big = walk_formula_rows(list(succ) + [v], n)
+        assert tuple(map(tuple, w.table.rows)) == tuple(row[:n] for row in big[:n])
 
 
 def test_construct_rejects_negative_instances():
