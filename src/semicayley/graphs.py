@@ -464,12 +464,12 @@ def _twins(bu: int, ru: int, bw: int, rw: int, cols: list) -> bool:
             and not (cols[bu.bit_length() - 1] ^ cols[bw.bit_length() - 1]) & rest)
 
 
-def canonical_form(g: Graph, cap: int = _CANON_CAP) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Canonical byte string, equal iff the graphs are isomorphic: the
     order, the carrier kind (so digraphs and simple graphs never collide),
     then the least row-major adjacency matrix over all vertex orders."""
-    if g.order > cap:
-        raise ValueError(f"canonical_form capped at order {cap}")
+    if g.order > _CANON_CAP:
+        raise ValueError(f"canonical_form capped at order {_CANON_CAP}")
     kind = b"D" if isinstance(g, Digraph) else b"U"
     return bytes([g.order]) + kind + _min_packed(_adjacency(g))
 

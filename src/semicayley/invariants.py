@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import Digraph, SimpleGraph, _MaxFlow, weak_components
+from .graphs import Digraph, SimpleGraph, _MaxFlow
 
 __all__ = [
     "arboricity",
@@ -194,10 +194,6 @@ def beta(g: SimpleGraph, k: int, budget: int = _BETA_BUDGET) -> int:
     n = g.order
     if any(d == 0 for d in g.degrees()) and k > 0:
         raise ValueError("beta with k >= 1 needs minimum degree >= 1")
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
     full = (1 << n) - 1
     if k == 0:
         return independence_number(g)

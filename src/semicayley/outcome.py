@@ -27,28 +27,27 @@ class BudgetExceededError(RuntimeError):
 class Budget:
     """Mutable node/time budget threaded through a search.
 
-    ``tick`` is called once per explored search-tree node.  Time is only
-    polled every 4096 nodes to keep the counter cheap.
+    ``tick`` is called once per explored search-tree node.  The time limit
+    counts from the budget's creation and is only polled every 4096 nodes
+    to keep the counter cheap.
     """
 
     max_nodes: int = DEFAULT_MAX_NODES
     max_seconds: Optional[float] = DEFAULT_MAX_SECONDS
     nodes: int = 0
-    _deadline: Optional[float] = field(default=None, repr=False)
+    _deadline: Optional[float] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.max_seconds is not None:
+            self._deadline = time.monotonic() + self.max_seconds
 
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise BudgetExceededError(f"node budget {self.max_nodes} exhausted")
-        if self.max_seconds is not None and self.nodes % 4096 == 0:
-            if self._deadline is None:
-                self._deadline = time.monotonic() + self.max_seconds
-            elif time.monotonic() > self._deadline:
-                raise BudgetExceededError(f"time budget {self.max_seconds}s exhausted")
-
-    def start_clock(self) -> None:
-        if self.max_seconds is not None and self._deadline is None:
-            self._deadline = time.monotonic() + self.max_seconds
+        if (self._deadline is not None and self.nodes % 4096 == 0
+                and time.monotonic() > self._deadline):
+            raise BudgetExceededError(f"time budget {self.max_seconds}s exhausted")
 
 
 @dataclass

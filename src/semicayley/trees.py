@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import MulTable
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, weak_components
 from .outcome import Budget
 from .witness import CayleyWitness, WitnessCheckError, _verified
 
@@ -62,30 +62,11 @@ class TreeVerdict:
     # | ("open",)
     details: Dict[int, tuple]
 
-    @property
-    def is_yes(self) -> bool:
-        return self.status == YES
 
-    @property
-    def is_no(self) -> bool:
-        return self.status == NO
-
-
-def _check_tree(t: SimpleGraph) -> List[frozenset]:
-    adj = t.neighbors()
-    if t.order == 0:
-        raise ValueError("empty vertex set")
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != t.order or len(t.edges) != t.order - 1:
+def _check_tree(t: SimpleGraph) -> List[set]:
+    if len(t.edges) != t.order - 1 or weak_components(t).count != 1:
         raise ValueError("input graph is not a tree")
-    return adj
+    return t.neighbors()
 
 
 def analyze(t: SimpleGraph, e: int) -> RootedTreeAnalysis:
@@ -260,40 +241,30 @@ def neutral_candidates(t: SimpleGraph) -> List[int]:
     return [v for v in range(t.order) if degs[v] >= dmax - 1]
 
 
-def _rooted_code(t: SimpleGraph, root: int, blocked: int) -> str:
-    """Canonical string of the component of ``root`` in t - blocked,
-    rooted at ``root``."""
-    adj = t.neighbors()
-    parent = {root: -1}
-    order = [root]
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u != blocked and u not in parent:
-                parent[u] = v
-                order.append(u)
-                stack.append(u)
-    codes: Dict[int, str] = {}
-    for v in reversed(order):
-        subs = sorted(codes[u] for u in adj[v]
-                      if u != blocked and parent.get(u) == v)
-        codes[v] = "(" + "".join(subs) + ")"
-    return codes[root]
-
-
-def symmetry_condition(t: SimpleGraph, e: int) -> bool:
+def symmetry_condition(a: RootedTreeAnalysis) -> bool:
     """Could a nontrivial left-multiplication be a tree automorphism?
 
     Surviving symmetries fix an involution exchanging e with a single
     neighbor c, which forces the two sides of the edge {e, c} to be
     isomorphic as rooted trees.  Returns True when some neighbor allows
     this, in which case the second necessary condition is withheld.
+
+    Each subtree gets a bottom-up code, equal for isomorphic rooted
+    subtrees (Aho, Hopcroft and Ullman): c's side is coded by c, and e's
+    side by e's child codes with one copy of c's code taken out.
     """
-    _check_tree(t)
-    adj = t.neighbors()
-    for c in adj[e]:
-        if _rooted_code(t, e, c) == _rooted_code(t, c, e):
+    n = a.tree.order
+    ids: Dict[tuple, int] = {}
+    kids: List[List[int]] = [[] for _ in range(n)]
+    for v in sorted(range(n), key=lambda v: -a.depth[v]):
+        code = ids.setdefault(tuple(sorted(kids[v])), len(ids))
+        if v != a.root:
+            kids[a.parent[v]].append(code)
+    root_kids = sorted(kids[a.root])
+    for code in set(root_kids):
+        rest = list(root_kids)
+        rest.remove(code)
+        if ids.get(tuple(rest)) == code:
             return True
     return False
 
@@ -314,20 +285,21 @@ def classify_tree(
     """
     cands = neutral_candidates(t)
     details: Dict[int, tuple] = {}
-    analyses = {e: analyze(t, e) for e in cands}
+    analyses = []
     for e in cands:
-        a = analyses[e]
+        a = analyze(t, e)
         if sufficient_check(a):
             w = construct_generated_witness(a)
-            sf = not symmetry_condition(t, e)
+            sf = not symmetry_condition(a)
             if necessary_check(a, sf) is not None:
                 raise WitnessCheckError(
                     "sufficient condition held but a necessary one failed")
             details[e] = ("sufficient",)
             return TreeVerdict(YES, w, tuple(cands), details)
+        analyses.append(a)
     open_count = 0
-    for e in cands:
-        fail = necessary_check(analyses[e], not symmetry_condition(t, e))
+    for e, a in zip(cands, analyses):
+        fail = necessary_check(a, not symmetry_condition(a))
         if fail is None:
             details[e] = ("open",)
             open_count += 1

@@ -54,60 +54,49 @@ class OutregularProfile:
     components: tuple         # ComponentShape per id
     vertex_depth: tuple       # l(v): distance from v to its cycle
 
-    def zl_pairs(self) -> tuple:
-        return tuple((c.z, c.depth) for c in self.components)
-
 
 def profile(g: Digraph) -> OutregularProfile:
+    """Components, cycles and depths from one successor walk per vertex
+    not yet placed.  A walk either closes a new cycle, whose component
+    takes the next id, or runs into a placed vertex, whose component its
+    vertices join.  A new cycle is only ever closed from a component's
+    smallest vertex, so ids follow smallest members as in
+    ``weak_components``."""
     succ = g.successor_map()      # raises if not 1-outregular
     n = g.order
-    comp = weak_components(g)
-    oncycle = [False] * n
-    # each component holds exactly one cycle; found by walking until repeat
-    cycles = {}
-    state = [0] * n               # 0 unseen, 1 in progress, 2 done
+    comp = [-1] * n               # -2 while on the current walk
+    depth = [0] * n
+    cycles = []
     for start in range(n):
-        if state[start]:
+        if comp[start] != -1:
             continue
         path = []
         v = start
-        while state[v] == 0:
-            state[v] = 1
+        while comp[v] == -1:
+            comp[v] = -2
             path.append(v)
             v = succ[v]
-        if state[v] == 1:
-            cyc = path[path.index(v):]
-            cid = comp.component[v]
-            cycles[cid] = tuple(cyc)
-            for w in cyc:
-                oncycle[w] = True
-        for w in path:
-            state[w] = 2
-    depth = [-1] * n
+        if comp[v] == -2:
+            k = path.index(v)
+            cid, d = len(cycles), 0
+            cycles.append(tuple(path[k:]))
+            for w in path[k:]:
+                comp[w] = cid
+            del path[k:]
+        else:
+            cid, d = comp[v], depth[v]
+        for w in reversed(path):
+            d += 1
+            comp[w] = cid
+            depth[w] = d
+    members = [[] for _ in cycles]
     for v in range(n):
-        if oncycle[v]:
-            depth[v] = 0
-    preds = [[] for _ in range(n)]
-    for v in range(n):
-        preds[succ[v]].append(v)
-    queue = deque(v for v in range(n) if oncycle[v])
-    while queue:
-        v = queue.popleft()
-        for w in preds[v]:
-            if depth[w] == -1:
-                depth[w] = depth[v] + 1
-                queue.append(w)
-    shapes = []
-    for cid in range(comp.count):
-        members = tuple(comp.members(cid))
-        cyc = cycles[cid]
-        shapes.append(ComponentShape(
-            vertices=members,
-            cycle=cyc,
-            z=len(cyc),
-            depth=max(depth[v] for v in members)))
-    return OutregularProfile(n, tuple(succ), comp.component, tuple(shapes),
-                             tuple(depth))
+        members[comp[v]].append(v)
+    shapes = tuple(
+        ComponentShape(vertices=tuple(vs), cycle=cyc, z=len(cyc),
+                       depth=max(depth[v] for v in vs))
+        for vs, cyc in zip(members, cycles))
+    return OutregularProfile(n, tuple(succ), tuple(comp), shapes, tuple(depth))
 
 
 def _dominates(p: OutregularProfile, cid: int, slack: int) -> bool:

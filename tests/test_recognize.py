@@ -22,6 +22,7 @@ from semicayley import (
     Budget,
     Digraph,
     SimpleGraph,
+    WitnessCheckError,
     classify_all,
     decide_monoid,
     decide_semigroup,
@@ -33,7 +34,7 @@ from semicayley import (
     sabidussi_check,
     witness_ok,
 )
-from semicayley.families import looped_path_digraph, gen_smallest_tree
+from semicayley.families import gen_K4_Cl, looped_path_digraph, gen_smallest_tree
 from semicayley.recognize import endomorphisms
 from semicayley.witness import generated_submonoid
 
@@ -197,6 +198,30 @@ def test_budget_exhaustion_is_reported_not_raised():
     out = recognize_monoid_graph(g, Budget(max_nodes=50, max_seconds=60.0))
     assert out.status == "budget-exceeded"
     assert out.nodes >= 50
+
+
+def test_time_budget_stops_at_the_first_poll():
+    """The clock starts with the budget; with no time left, the search
+    stops where time is first polled, at node 4,096."""
+    out = recognize_monoid_graph(gen_K4_Cl(5), Budget(max_seconds=0))
+    assert (out.status, out.nodes) == ("budget-exceeded", 4096)
+
+
+def test_failed_table_check_raises_instead_of_resuming(monkeypatch):
+    """A complete table that fails ``validate_table`` is a fault, not a
+    branch to prune: it must not turn into a certified negative."""
+    import semicayley.recognize as rec
+    import semicayley.witness as wit
+
+    def failing(table):
+        return "forced failure"
+
+    monkeypatch.setattr(wit, "validate_table", failing)
+    # and wherever the search might filter its tables with it
+    monkeypatch.setattr(rec, "validate_table", failing, raising=False)
+    c4 = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(WitnessCheckError, match="table-valid"):
+        recognize_monoid_graph(c4, Budget())
 
 
 def test_sabidussi_agrees_with_search_up_to_order_3():

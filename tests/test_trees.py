@@ -95,10 +95,41 @@ def test_sufficient_implies_necessary_up_to_order_6():
 
 
 def test_symmetry_condition_cases():
-    assert symmetry_condition(path_graph(2), 0)          # the halves swap
-    assert not symmetry_condition(path_graph(3), 1)      # fixing e != moving e
-    assert symmetry_condition(path_graph(4), 1)
-    assert not symmetry_condition(BROOM, 0)
+    assert symmetry_condition(analyze(path_graph(2), 0))      # the halves swap
+    assert not symmetry_condition(analyze(path_graph(3), 1))  # fixing e != moving e
+    assert symmetry_condition(analyze(path_graph(4), 1))
+    assert not symmetry_condition(analyze(BROOM, 0))
+
+
+def nx_symmetry(t: SimpleGraph, e: int) -> bool:
+    """Some edge {e, c} splits t into two sides, rooted at e and at c,
+    that networkx finds isomorphic as rooted trees."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import rooted_tree_isomorphism
+
+    g = nx.Graph(list(t.edges))
+    g.add_nodes_from(range(t.order))
+    for c in list(g[e]):
+        g.remove_edge(e, c)
+        e_side = g.subgraph(nx.node_connected_component(g, e))
+        c_side = g.subgraph(nx.node_connected_component(g, c))
+        iso = (len(e_side) == len(c_side)
+               and rooted_tree_isomorphism(e_side, e, c_side, c))
+        g.add_edge(e, c)
+        if iso:
+            return True
+    return False
+
+
+def test_symmetry_condition_matches_networkx_up_to_order_9():
+    roots = 0
+    for n in range(1, 10):
+        for t in nx_trees(n):
+            for e in range(n):
+                assert symmetry_condition(analyze(t, e)) == nx_symmetry(t, e), \
+                    (sorted(t.edges), e)
+                roots += 1
+    assert roots == 749
 
 
 def test_neutral_candidates():

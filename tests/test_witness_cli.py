@@ -165,6 +165,31 @@ def test_cli_construct_zelinka_negative(monkeypatch, capsys):
     assert code == 1 and "dominant" in err
 
 
+@pytest.mark.parametrize("mode, graph, identity", [
+    # a 3-cycle with the tail 4 -> 3 -> 0, next to a loop
+    ("monoid", "6 directed\n0 1\n1 2\n2 0\n3 0\n4 3\n5 5\n", 4),
+    # a looped vertex with one in-arc, next to a 2-cycle: semigroup only
+    ("semigroup", "4 directed\n0 0\n1 0\n2 3\n3 2\n", None),
+])
+def test_cli_construct_zelinka_positive(mode, graph, identity, monkeypatch,
+                                        capsys):
+    code, out, _ = run_cli(["construct-zelinka", "--mode", mode], graph,
+                           monkeypatch, capsys)
+    assert code == 0
+    w, g, recorded = parse_witness_record(out)
+    assert all(recorded.values()) and witness_ok(w, g)
+    assert w.mode == f"{mode}-digraph" and w.table.identity == identity
+
+
+@pytest.mark.parametrize("sub", ["check-zelinka", "construct-zelinka"])
+def test_cli_zelinka_refuses_a_digraph_that_is_not_1_outregular(
+        sub, monkeypatch, capsys):
+    code, out, err = run_cli([sub], "3 directed\n0 1\n1 2\n", monkeypatch,
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: not 1-outregular: missing out-arc\n"
+
+
 def test_cli_recognize_witness_roundtrips(monkeypatch, capsys):
     code, out, _ = run_cli(["recognize", "--mode", "monoid-digraph"],
                            "3 directed\n0 1\n1 2\n2 0\n", monkeypatch, capsys)
@@ -288,6 +313,34 @@ def test_cli_embed_directed_and_undirected(monkeypatch, capsys):
     assert code == 0 and "mode: embedding" in out
 
 
+def test_cli_embed_budget_and_sink(monkeypatch, capsys):
+    code, out, err = run_cli(["embed", "--max-maps", "1"],
+                             "3 directed\n0 1\n1 2\n2 0\n", monkeypatch, capsys)
+    assert (code, out) == (2, "") and err.startswith("budget exceeded: ")
+    code, out, err = run_cli(["embed"], "3 directed\n0 1\n1 2\n",
+                             monkeypatch, capsys)
+    assert (code, out, err) == (1, "", "error: vertex 2 is a sink\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants"], ["tree-classify"], ["recognize", "--mode", "monoid-graph"],
+], ids=["invariants", "tree-classify", "recognize"])
+def test_cli_refuses_a_digraph_where_a_graph_is_needed(argv, monkeypatch, capsys):
+    code, out, err = run_cli(argv, "2 directed\n0 1\n1 0\n", monkeypatch,
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: this subcommand needs an undirected graph\n"
+
+
+def test_cli_recognize_time_budget_exit_two(monkeypatch, capsys):
+    from semicayley.families import gen_K4_Cl
+
+    code, out, _ = run_cli(["recognize", "--mode", "monoid-graph",
+                            "--max-seconds", "0"],
+                           format_graph(gen_K4_Cl(5)), monkeypatch, capsys)
+    assert code == 2 and out == "status: budget-exceeded\nnodes: 4096\n"
+
+
 def test_cli_missing_file_exit_one(capsys):
     code = main(["check-zelinka", "/nonexistent/graph.txt"])
     _, err = capsys.readouterr()
@@ -308,6 +361,13 @@ def test_cli_refuses_orders_over_the_cap(argv, kind, monkeypatch, capsys):
     code, out, err = run_cli(argv, f"{cap + 1} {kind}\n", monkeypatch, capsys)
     assert (code, out) == (1, "")
     assert err == f"error: {argv[0]} accepts orders up to {cap}, got {cap + 1}\n"
+
+
+def test_cli_invariants_cap_is_the_subset_scan_cap():
+    """Every order under the cap is one whose arboricity is computed."""
+    from semicayley.invariants import _SUBSET_CAP
+
+    assert MAX_ORDER["invariants"] == _SUBSET_CAP
 
 
 def test_cli_recognize_accepts_its_cap(monkeypatch, capsys):
