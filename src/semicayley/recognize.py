@@ -68,8 +68,9 @@ class _TableSolver:
     neighborhoods of a graph.  Cells are assigned in a fixed static order,
     connection columns first.  Each assignment propagates every
     associativity triple it completes, via occurrence lists keyed by cell
-    value, and updates per-row arc coverage counters whose infeasibility
-    prunes the branch.  A complete table is returned only if
+    value and lists of the assigned cells of each row and column, and
+    keeps per-row arc coverage counters whose infeasibility prunes the
+    branch.  A complete table is returned only if
     ``leaf_check(table, connection)``, when given, accepts it; otherwise
     the search resumes.
 
@@ -78,7 +79,26 @@ class _TableSolver:
     x -> y for a directed carrier; y adjacent to or equal to x for an
     undirected one) read by the value and endomorphism-row checks, the
     sorted candidate values of each connection row, and, undirected,
-    dense edge ids with list counters for the edge-coverage rule.
+    dense edge ids with list counters for the edge-coverage rule.  It then
+    binds the mutable state (``table``, ``occ``, ``row_cols``,
+    ``col_rows``, ``trail``, ``row_used`` and the counters) into the two
+    kernels ``assign_propagate`` and ``undo_to``, one pair per solver for
+    either carrier.
+
+    ``assign_propagate`` checks each cell before it commits it.  The
+    checks are reads: value domain, endomorphism row (in-arcs too when
+    directed), row injectivity, the coverage "dead" test and the four
+    associativity roles of the cell.  Their only write is the tentative
+    table entry, reset when a rule rejects the cell.  A cell that passes
+    is committed to ``occ``, ``row_cols``, ``col_rows``, ``trail``,
+    ``row_used`` and the counters, and the cells it forces are queued.  So
+    a rejection leaves every committed cell of the call on the trail and
+    nothing else, and ``undo_to(mark)`` restores the state from before the
+    call exactly; a value rejected at its first cell leaves the trail at
+    its mark, with nothing to undo.  Every rule is monotone, so
+    propagation reaches the same closure, or fails, whatever order it
+    meets the triples in: whether a value passes depends only on the set
+    of assignments, and the order of these lists changes no node count.
 
     ``search`` is a loop over an explicit stack with one frame per
     branching cell: the cell's index in the order, an iterator over its
@@ -105,6 +125,10 @@ class _TableSolver:
         self.leaf_check = leaf_check
         self.table = [[-1] * n for _ in range(n)]
         self.occ: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        # row_cols[x]: the assigned columns of row x; col_rows[y]: the
+        # rows with column y assigned; both in the order of the trail
+        self.row_cols: List[List[int]] = [[] for _ in range(n)]
+        self.col_rows: List[List[int]] = [[] for _ in range(n)]
         self.trail: List[Tuple[int, int]] = []
         # row_used[a][v]: v occurs in row a; kept only for injective rows
         self.row_used = [[False] * n for _ in range(n)] if injective_rows else None
@@ -144,23 +168,25 @@ class _TableSolver:
         conn_cells = [(x, c) for x in range(n) for c in self.conn]
         rest = [(a, b) for a in range(n) for b in free]
         self.order = conn_cells + rest
+        self.assign_propagate, self.undo_to = self._kernels()
 
     # -- assignment / undo ------------------------------------------------
 
-    def assign_propagate(self, a: int, b: int, v: int) -> bool:
-        """Assign the open cell (a, b) := v and drain all forced consequences.
-
-        Forced cells are queued and popped last in, first out.  On False
-        the caller must undo to its trail mark.
-        """
-        n = self.n
+    def _kernels(self):
+        """Bind the hot state once and return (assign_propagate, undo_to)."""
         T = self.table
         occ = self.occ
+        row_cols = self.row_cols
+        col_rows = self.col_rows
         trail = self.trail
         is_conn = self.is_conn
         ok = self.ok
         out_nbrs = self.out_nbrs
         row_used = self.row_used
+        injective = row_used is not None
+        queue: List[Tuple[int, int, int]] = []
+        push = queue.append
+        pop = queue.pop
         directed = self.directed
         if directed:
             in_nbrs = self.in_nbrs
@@ -171,138 +197,157 @@ class _TableSolver:
             nbr_e = self.nbr_e
             ecov = self.ecov
             epot = self.epot
-        queue = [(a, b, v)]
-        pop = queue.pop
-        push = queue.append
-        while queue:
-            a, b, v = pop()
-            Ta = T[a]
-            cur = Ta[b]
-            if cur >= 0:
-                if cur != v:
-                    return False
-                continue
-            conn = is_conn[b]
-            if conn and not ok[a][v]:
-                return False
-            if row_used is not None and row_used[a][v]:
-                return False
-            # left translation by a must be an endomorphism: arcs at b
-            ok_v = ok[v]
-            for y in out_nbrs[b]:
-                z = Ta[y]
-                if z >= 0 and not ok_v[z]:
-                    return False
-            if directed:
-                for y in in_nbrs[b]:
-                    z = Ta[y]
-                    if z >= 0 and not ok[z][v]:
+
+        def assign_propagate(a: int, b: int, v: int) -> bool:
+            """Assign the open cell (a, b) := v and drain all forced consequences.
+
+            Forced cells are queued and popped last in, first out.  On
+            False the caller undoes to its trail mark if the trail grew.
+            """
+            if queue:
+                queue.clear()  # left by a rejected call
+            while True:
+                Ta = T[a]
+                cur = Ta[b]
+                if cur >= 0:
+                    if cur != v:
                         return False
-            Ta[b] = v
-            occ[v].append((a, b))
-            if row_used is not None:
-                row_used[a][v] = True
-            trail.append((a, b))
-            if conn:
-                # complete every counter update before failing so that
-                # undo_to is an exact inverse of this block
-                if directed:
-                    remaining[a] -= 1
-                    cc = cover_count[a]
-                    cc[v] += 1
-                    if cc[v] == 1:
-                        uncovered[a] -= 1
-                    dead = uncovered[a] > remaining[a]
-                else:
-                    dead = False
-                    for y, e in nbr_e[a]:
-                        epot[e] -= 1
-                        if v == y:
-                            ecov[e] += 1
-                        elif epot[e] == 0 and ecov[e] == 0:
-                            dead = True
-                if dead:
+                    if not queue:
+                        return True
+                    a, b, v = pop()
+                    continue
+                conn = is_conn[b]
+                if conn and not ok[a][v]:
                     return False
-            # associativity propagation: four roles of the new cell
-            Tb = T[b]
-            Tv = T[v]
-            for c in range(n):
-                w = Tb[c]
-                if w >= 0:
+                if injective and row_used[a][v]:
+                    return False
+                # left translation by a must be an endomorphism: arcs at b
+                ok_v = ok[v]
+                for y in out_nbrs[b]:
+                    z = Ta[y]
+                    if z >= 0 and not ok_v[z]:
+                        return False
+                if directed:
+                    for y in in_nbrs[b]:
+                        z = Ta[y]
+                        if z >= 0 and not ok[z][v]:
+                            return False
+                if conn:
+                    # dead: with this cell, some arc at a (edge, undirected)
+                    # could no longer be covered
+                    if directed:
+                        if (uncovered[a] - (cover_count[a][v] == 0)
+                                > remaining[a] - 1):
+                            return False
+                    else:
+                        for y, e in nbr_e[a]:
+                            if epot[e] == 1 and not ecov[e] and v != y:
+                                return False
+                # associativity: four roles of the tentative cell
+                Ta[b] = v
+                Tb = T[b]
+                Tv = T[v]
+                cols = row_cols[b]
+                if a == b:
+                    # the triple (a, a, a) of the tentative cell itself;
+                    # row a in the second loop would only repeat it
+                    cols = cols + [b]
+                for c in cols:
+                    w = Tb[c]
                     lhs = Tv[c]
                     rhs = Ta[w]
                     if lhs >= 0:
                         if rhs >= 0:
                             if lhs != rhs:
+                                Ta[b] = -1
                                 return False
                         else:
                             push((a, w, lhs))
                     elif rhs >= 0:
                         push((v, c, rhs))
-                Tc = T[c]
-                w = Tc[a]
-                if w >= 0:
+                for c in col_rows[a]:
+                    Tc = T[c]
+                    w = Tc[a]
                     lhs = T[w][b]
                     rhs = Tc[v]
                     if lhs >= 0:
                         if rhs >= 0:
                             if lhs != rhs:
+                                Ta[b] = -1
                                 return False
                         else:
                             push((c, v, lhs))
                     elif rhs >= 0:
                         push((w, b, rhs))
-            for x, y in occ[a]:
-                if x == a and y == b:
-                    continue
-                w = T[y][b]
-                if w >= 0:
-                    z = T[x][w]
-                    if z >= 0:
-                        if z != v:
-                            return False
+                # the cell is not in occ yet, so neither occ loop meets it
+                for x, y in occ[a]:
+                    w = T[y][b]
+                    if w >= 0:
+                        z = T[x][w]
+                        if z >= 0:
+                            if z != v:
+                                Ta[b] = -1
+                                return False
+                        else:
+                            push((x, w, v))
+                for y, z in occ[b]:
+                    w = Ta[y]
+                    if w >= 0:
+                        u = T[w][z]
+                        if u >= 0:
+                            if u != v:
+                                Ta[b] = -1
+                                return False
+                        else:
+                            push((w, z, v))
+                # commit
+                occ[v].append((a, b))
+                row_cols[a].append(b)
+                col_rows[b].append(a)
+                trail.append((a, b))
+                if injective:
+                    row_used[a][v] = True
+                if conn:
+                    if directed:
+                        remaining[a] -= 1
+                        cc = cover_count[a]
+                        if not cc[v]:
+                            uncovered[a] -= 1
+                        cc[v] += 1
                     else:
-                        push((x, w, v))
-            for y, z in occ[b]:
-                if y == a and z == b:
-                    continue
-                w = Ta[y]
-                if w >= 0:
-                    u = T[w][z]
-                    if u >= 0:
-                        if u != v:
-                            return False
-                    else:
-                        push((w, z, v))
-        return True
+                        for y, e in nbr_e[a]:
+                            epot[e] -= 1
+                            if v == y:
+                                ecov[e] += 1
+                if not queue:
+                    return True
+                a, b, v = pop()
 
-    def undo_to(self, mark: int) -> None:
-        trail = self.trail
-        T = self.table
-        occ = self.occ
-        is_conn = self.is_conn
-        row_used = self.row_used
-        directed = self.directed
-        for _ in range(len(trail) - mark):
-            a, b = trail.pop()
-            Ta = T[a]
-            v = Ta[b]
-            Ta[b] = -1
-            occ[v].pop()
-            if row_used is not None:
-                row_used[a][v] = False
-            if is_conn[b]:
-                if directed:
-                    self.remaining[a] += 1
-                    cc = self.cover_count[a]
-                    cc[v] -= 1
-                    if cc[v] == 0:
-                        self.uncovered[a] += 1
-                else:
-                    for y, e in self.nbr_e[a]:
-                        self.epot[e] += 1
-                        if v == y:
-                            self.ecov[e] -= 1
+        def undo_to(mark: int) -> None:
+            for _ in range(len(trail) - mark):
+                a, b = trail.pop()
+                Ta = T[a]
+                v = Ta[b]
+                Ta[b] = -1
+                occ[v].pop()
+                row_cols[a].pop()
+                col_rows[b].pop()
+                if injective:
+                    row_used[a][v] = False
+                if is_conn[b]:
+                    if directed:
+                        remaining[a] += 1
+                        cc = cover_count[a]
+                        cc[v] -= 1
+                        if not cc[v]:
+                            uncovered[a] += 1
+                    else:
+                        for y, e in nbr_e[a]:
+                            epot[e] += 1
+                            if v == y:
+                                ecov[e] -= 1
+
+        return assign_propagate, undo_to
 
     # -- search -----------------------------------------------------------
 
@@ -347,12 +392,14 @@ class _TableSolver:
             # backtrack to the deepest frame with a candidate left
             while frames:
                 idx, a, b, vals, mark = frames[-1]
-                undo_to(mark)
+                if len(trail) > mark:
+                    undo_to(mark)
                 for v in vals:
                     tick()
                     if assign_propagate(a, b, v):
                         break
-                    undo_to(mark)
+                    if len(trail) > mark:
+                        undo_to(mark)
                 else:
                     frames.pop()
                     continue

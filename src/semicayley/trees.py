@@ -75,6 +75,11 @@ def analyze(t: SimpleGraph, e: int) -> RootedTreeAnalysis:
     adj = _check_tree(t)
     if not 0 <= e < t.order:
         raise ValueError(f"root {e} out of range")
+    return _rooted(t, adj, e)
+
+
+def _rooted(t: SimpleGraph, adj: List[set], e: int) -> RootedTreeAnalysis:
+    """``analyze`` on a checked tree ``t`` with neighbor sets ``adj``."""
     n = t.order
     depth = [-1] * n
     parent = [-1] * n
@@ -235,10 +240,14 @@ def necessary_check(a: RootedTreeAnalysis, symmetry_free: bool):
 
 def neutral_candidates(t: SimpleGraph) -> List[int]:
     """Identity candidates: degree within one of the maximum degree."""
-    _check_tree(t)
-    degs = t.degrees()
-    dmax = max(degs)
-    return [v for v in range(t.order) if degs[v] >= dmax - 1]
+    return _candidates(t)[0]
+
+
+def _candidates(t: SimpleGraph) -> Tuple[List[int], List[set]]:
+    """``neutral_candidates`` and the neighbor sets of the checked tree."""
+    adj = _check_tree(t)
+    dmax = max(map(len, adj))
+    return [v for v in range(t.order) if len(adj[v]) >= dmax - 1], adj
 
 
 def symmetry_condition(a: RootedTreeAnalysis) -> bool:
@@ -283,11 +292,11 @@ def classify_tree(
     ``escalate`` the undecided case falls through to the exhaustive
     table search with the generation requirement.
     """
-    cands = neutral_candidates(t)
+    cands, adj = _candidates(t)
     details: Dict[int, tuple] = {}
     analyses = []
     for e in cands:
-        a = analyze(t, e)
+        a = _rooted(t, adj, e)
         if sufficient_check(a):
             w = construct_generated_witness(a)
             sf = not symmetry_condition(a)

@@ -53,6 +53,10 @@ class CayleyWitness:
     identity's component (the part removed by the embedding claim).
     """
 
+    # (graph, checks) of the ``_verified`` call that accepted this
+    # witness; not a field, so equality and the record ignore it
+    _checks = None
+
     mode: str
     table: MulTable
     connection: frozenset
@@ -187,10 +191,12 @@ def _verified(witness: CayleyWitness, graph) -> CayleyWitness:
     The one self-check every producer runs on its witness: an explicit
     check rather than ``assert``, so that it also runs under ``python -O``.
     """
-    failed = [k for k, ok in verify_witness(witness, graph).items() if not ok]
+    checks = verify_witness(witness, graph)
+    failed = [k for k, ok in checks.items() if not ok]
     if failed:
         raise WitnessCheckError(
             f"{witness.mode} witness fails its own checks: {', '.join(failed)}")
+    object.__setattr__(witness, "_checks", (graph, checks))
     return witness
 
 
@@ -202,6 +208,12 @@ class WitnessRecordError(ValueError):
 
 
 def format_witness_record(w: CayleyWitness, g) -> str:
+    """The text record of ``w`` against ``g``, with its ``check`` lines.
+
+    A witness that passed ``_verified`` against a graph equal to ``g``
+    carries the checks of that call, and the record writes them; any
+    other witness is checked here.
+    """
     lines = ["cayley-witness", f"mode: {w.mode}", f"carrier: {w.carrier}"]
     lines.append("graph:")
     lines.append(format_graph(g).rstrip("\n"))
@@ -213,7 +225,11 @@ def format_witness_record(w: CayleyWitness, g) -> str:
     lines.append("vertex-map: " + " ".join(str(x) for x in w.vertex_map))
     if w.component is not None:
         lines.append("component: " + " ".join(str(x) for x in w.component))
-    for name, value in verify_witness(w, g).items():
+    if w._checks is not None and w._checks[0] == g:
+        checks = w._checks[1]
+    else:
+        checks = verify_witness(w, g)
+    for name, value in checks.items():
         lines.append(f"check {name}: {'true' if value else 'false'}")
     lines.append("end-witness")
     return "\n".join(lines) + "\n"

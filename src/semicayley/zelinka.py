@@ -165,6 +165,12 @@ def construct_monoid(g: Digraph, e: Optional[int] = None) -> CayleyWitness:
     l(C) + z(C) - 1 steps beyond e.  Products by other components leave
     the right factor unchanged.
     """
+    return _verified(_monoid_witness(g, e), g)
+
+
+def _monoid_witness(g: Digraph, e: Optional[int]) -> CayleyWitness:
+    """``construct_monoid`` without its self-check, for the constructions
+    that check the witness they derive from it instead."""
     p = profile(g)
     if e is None:
         ok, cid = decide_monoid(p)
@@ -196,8 +202,7 @@ def construct_monoid(g: Digraph, e: Optional[int] = None) -> CayleyWitness:
             path.append(p.succ[path[-1]])
         rows.append([path[r[y]] if in_c[y] else y for y in range(n)])
     table = MulTable(n, rows, identity=e)
-    w = CayleyWitness("monoid-digraph", table, {a}, tuple(range(n)))
-    return _verified(w, g)
+    return CayleyWitness("monoid-digraph", table, {a}, tuple(range(n)))
 
 
 def construct_semigroup(g: Digraph) -> CayleyWitness:
@@ -211,7 +216,7 @@ def construct_semigroup(g: Digraph) -> CayleyWitness:
     v = min(u for u in shape.vertices if p.vertex_depth[u] == shape.depth)
     n = g.order
     extended = Digraph(n + 1, set(g.arcs) | {(n, v)})
-    big = construct_monoid(extended, e=n)
+    big = _monoid_witness(extended, n)
     rows = big.table.rows
     if any(rows[x][y] == n for x in range(n) for y in range(n)):
         raise WitnessCheckError("semigroup reduction not closed without neutral")
@@ -247,7 +252,7 @@ def forest_witness(f: SimpleGraph) -> CayleyWitness:
                     arcs.add((w, u))
                     queue.append(w)
     oriented = Digraph(n, arcs)
-    base = construct_monoid(oriented)
+    base = _monoid_witness(oriented, None)
     w = CayleyWitness("monoid-graph", base.table, base.connection,
                       tuple(range(n)), carrier="undirected")
     return _verified(w, f)

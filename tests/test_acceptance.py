@@ -158,7 +158,6 @@ def test_a5_all_order5_graphs_are_monoid_graphs():
            ok, time.perf_counter() - t0, 120.0)
 
 
-@pytest.mark.slow
 def test_a5_extended_order6_census():
     t0 = time.perf_counter()
     ok = _census_all_witnesses(6, 3600.0)

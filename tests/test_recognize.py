@@ -9,6 +9,7 @@ left-multiplication search in ``sabidussi_check``.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import subprocess
 import sys
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import child_env, functional_digraph, looped_to_zero
+from conftest import child_env, cycle_graph, functional_digraph, looped_to_zero
 from semicayley import (
     Budget,
+    BudgetExceededError,
     Digraph,
     SimpleGraph,
     WitnessCheckError,
@@ -35,7 +37,8 @@ from semicayley import (
     witness_ok,
 )
 from semicayley.families import gen_K4_Cl, looped_path_digraph, gen_smallest_tree
-from semicayley.recognize import endomorphisms
+from semicayley.graphs import is_strongly_connected
+from semicayley.recognize import _TableSolver, endomorphisms
 from semicayley.witness import generated_submonoid
 
 # frozen: order-3 outregular digraph census, both algebraic modes
@@ -422,3 +425,188 @@ def test_witness_self_check_runs_under_python_O():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("fails its own checks: roundtrip\n") == 11
+
+
+# -- the check-then-commit kernel ------------------------------------------
+
+
+def _solver_state(s):
+    """Everything ``assign_propagate`` may write, as a deep copy."""
+    counters = ((s.remaining, s.uncovered, s.cover_count) if s.directed
+                else (s.ecov, s.epot))
+    return copy.deepcopy((s.table, s.occ, s.row_cols, s.col_rows, s.trail,
+                          s.row_used, counters))
+
+
+def _first_cell_rejected(s, arc, a, b, v) -> bool:
+    """Whether a rule rejects the open cell (a, b) := v on its own, derived
+    from the table and ``arc(x, y)``, not from the solver's counters."""
+    T = s.table
+    n = s.n
+    conn = s.conn
+    if b in conn and not arc(a, v):
+        return True
+    if s.row_used is not None and v in T[a]:
+        return True
+    # the row of a must map arcs at b to arcs
+    for y in range(n):
+        z = T[a][y]
+        if z >= 0 and ((arc(b, y) and not arc(v, z))
+                       or (s.directed and arc(y, b) and not arc(z, v))):
+            return True
+    after = [row[:] for row in T]
+    after[a][b] = v
+
+    def image(x):
+        return {after[x][c] for c in conn if after[x][c] >= 0}
+
+    def open_cells(x):
+        return sum(after[x][c] < 0 for c in conn)
+
+    # coverage: a row has more arcs left to cover than open connection
+    # cells, or an edge has no open connection cell left at either end
+    if b in conn:
+        for x in range(n):
+            if s.directed:
+                left = [y for y in range(n) if arc(x, y) and y not in image(x)]
+                if len(left) > open_cells(x):
+                    return True
+                continue
+            for y in range(x + 1, n):
+                if (arc(x, y) and y not in image(x) and x not in image(y)
+                        and not open_cells(x) + open_cells(y)):
+                    return True
+    for x, y, z in itertools.product(range(n), repeat=3):
+        xy, yz = after[x][y], after[y][z]
+        if xy >= 0 and yz >= 0:
+            lhs, rhs = after[xy][z], after[x][yz]
+            if lhs >= 0 and rhs >= 0 and lhs != rhs:
+                return True
+    return False
+
+
+def _watch_kernel(s, arc, seen):
+    """Wrap the solver's kernel so that every call checks what a rejected
+    value leaves behind, before and after ``undo_to``."""
+    assign, undo = s.assign_propagate, s.undo_to
+
+    def checked(a, b, v):
+        assert s.table[a][b] < 0
+        before = _solver_state(s)
+        mark = len(s.trail)
+        at_first = _first_cell_rejected(s, arc, a, b, v)
+        if assign(a, b, v):
+            assert not at_first
+            return True
+        if at_first:
+            # nothing was committed: not even the trail moved
+            assert _solver_state(s) == before
+            seen["first"] += 1
+        else:
+            # the tried cell passed its checks, so it was committed first
+            assert s.trail[mark] == (a, b)
+            seen["later"] += 1
+        undo(mark)
+        assert _solver_state(s) == before
+        return False
+
+    s.assign_propagate = checked
+
+
+def _run_watched(sets, arc, candidates, directed, injective, seen):
+    budget = Budget(max_nodes=3000, max_seconds=None)
+    for identity, conn in candidates:
+        s = _TableSolver(sets, conn, budget, directed=directed,
+                         identity=identity, injective_rows=injective)
+        _watch_kernel(s, arc, seen)
+        try:
+            if s.prefill_identity():
+                s.search()
+        except BudgetExceededError:
+            return
+
+
+@st.composite
+def small_carriers(draw):
+    """A simple graph of order 2-5, or a digraph of order 2-4 with every
+    outdegree positive; about half of the digraphs get a Hamiltonian cycle,
+    so they are strongly connected and force injective rows."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, 4 if directed else 5))
+    pairs = [(x, y) for x in range(n) for y in range(n)
+             if directed or x < y]
+    arcs = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    if not directed:
+        return SimpleGraph(n, arcs)
+    if draw(st.booleans()):
+        arcs |= {(x, (x + 1) % n) for x in range(n)}
+    arcs |= {(x, x) for x in range(n) if not any(u == x for u, _ in arcs)}
+    return Digraph(n, arcs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_carriers(), st.integers(0, 1))
+def test_rejected_values_leave_the_state_as_it_was(g, semigroup):
+    """Every value ``assign_propagate`` rejects leaves the table, ``occ``,
+    the row and column lists, trail, ``row_used`` and coverage counters as
+    ``undo_to(mark)`` finds them before the call; a value rejected at its
+    first cell leaves them so without any undo."""
+    seen = {"first": 0, "later": 0}
+    if isinstance(g, SimpleGraph):
+        sets = [frozenset(s) for s in g.neighbors()]
+
+        def arc(x, y):
+            return x == y or y in sets[x]
+
+        candidates = [(e, sets[e]) for e in range(g.order) if sets[e]]
+        _run_watched(sets, arc, candidates, False, False, seen)
+        return
+    sets = [frozenset(s) for s in g.out_neighbors()]
+
+    def arc(x, y):
+        return y in sets[x]
+
+    dmax = max(map(len, sets))
+    if semigroup:
+        candidates = [(None, conn) for size in range(dmax, g.order + 1)
+                      for conn in itertools.combinations(range(g.order), size)]
+    else:
+        candidates = [(e, sets[e]) for e in range(g.order)
+                      if len(sets[e]) == dmax]
+    _run_watched(sets, arc, candidates, True, is_strongly_connected(g), seen)
+
+
+def test_rejections_at_the_first_cell_and_later_are_both_watched():
+    """The watched kernel meets both kinds of rejection: on the 5-cycle as
+    a graph, and on the strongly connected digraph 0 -> 1 -> 2 -> 0, 0 -> 0
+    with injective rows."""
+    g = cycle_graph(5)
+    sets = [frozenset(s) for s in g.neighbors()]
+    seen = {"first": 0, "later": 0}
+    _run_watched(sets, lambda x, y: x == y or y in sets[x],
+                 [(e, sets[e]) for e in range(g.order)], False, False, seen)
+    assert seen["first"] > 0 and seen["later"] > 0
+    d = Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 0)])
+    dsets = [frozenset(s) for s in d.out_neighbors()]
+    seen = {"first": 0, "later": 0}
+    _run_watched(dsets, lambda x, y: y in dsets[x],
+                 [(None, conn) for size in (2, 3)
+                  for conn in itertools.combinations(range(3), size)],
+                 True, True, seen)
+    assert seen["first"] > 0 and seen["later"] > 0
+
+
+@pytest.mark.parametrize("identity, nodes", [
+    (0, 15_002), (1, 15_002), (2, 15_002), (3, 15_002),
+    (4, 46_086), (5, 44_166), (8, 46_086)])
+def test_k4_c5_nodes_per_identity_frozen(identity, nodes):
+    """The unrestricted K4 + C5 search (1,272,392 nodes) per identity: all
+    four degree-3 candidates and the cheap degree-2 ones, each exhausted."""
+    g = gen_K4_Cl(5)
+    sets = [frozenset(s) for s in g.neighbors()]
+    budget = fresh_budget()
+    s = _TableSolver(sets, sets[identity], budget, directed=False,
+                     identity=identity)
+    assert s.prefill_identity()
+    assert s.search() is None
+    assert budget.nodes == nodes

@@ -200,3 +200,22 @@ def test_classifier_tplus_negative():
 def test_classifier_rejects_non_tree():
     with pytest.raises(ValueError):
         classify_tree(SimpleGraph(3, [(0, 1), (1, 2), (2, 0)]))
+
+
+def test_classifier_checks_the_tree_once(monkeypatch):
+    """``classify_tree`` roots the tree at every candidate it reaches but
+    checks that its input is a tree only once."""
+    import semicayley.trees as trees_module
+
+    calls = []
+    real = trees_module._check_tree
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(trees_module, "_check_tree", counted)
+    t, _root = gen_Tplus(3, 2)
+    verdict = classify_tree(t)
+    assert verdict.status == NO and len(verdict.details) > 1
+    assert len(calls) == 1

@@ -30,6 +30,7 @@ from semicayley import (
     MulTable,
     SimpleGraph,
     construct_monoid,
+    construct_semigroup,
     embed_monoid,
     format_graph,
     format_witness_record,
@@ -561,3 +562,69 @@ def test_console_script_on_path():
     proc = subprocess.run(["semicayley", "gen", "looped-path"],
                           capture_output=True, text=True, timeout=60)
     assert_gen_looped_path(proc)
+
+
+def _count_verify_calls(monkeypatch):
+    import semicayley.witness as witness_module
+
+    calls = []
+    real = witness_module.verify_witness
+
+    def counted(w, g):
+        calls.append(w.mode)
+        return real(w, g)
+
+    monkeypatch.setattr(witness_module, "verify_witness", counted)
+    return calls
+
+
+def test_record_writes_the_checks_its_producer_computed(monkeypatch):
+    """A produced witness is verified once: its record writes the checks
+    of the producer's self-check. A witness built by hand, or formatted
+    against another graph, is checked when its record is written."""
+    g = functional_digraph([1, 2, 0, 0])
+    calls = _count_verify_calls(monkeypatch)
+    w = construct_monoid(g)
+    assert len(calls) == 1
+    text = format_witness_record(w, g)
+    assert len(calls) == 1
+    assert parse_witness_record(text)[2] == verify_witness(w, g)
+    del calls[:]
+    by_hand = CayleyWitness(w.mode, w.table, w.connection, w.vertex_map)
+    assert by_hand == w
+    assert format_witness_record(by_hand, g) == text
+    assert len(calls) == 1
+    other = functional_digraph([1, 2, 0, 1])
+    assert "check roundtrip: false" in format_witness_record(w, other)
+    assert len(calls) == 2
+    # built on construct_monoid's table, checked once as what they return
+    forest_witness(SimpleGraph(4, [(0, 1), (1, 2)]))
+    construct_semigroup(functional_digraph([0, 0, 1]))
+    assert calls[2:] == ["monoid-graph", "semigroup-digraph"]
+
+
+@pytest.mark.parametrize("argv, graph", [
+    (["construct-zelinka"], "3 directed\n0 1\n1 2\n2 0\n"),
+    (["construct-zelinka", "--mode", "semigroup"], "3 directed\n0 0\n1 0\n2 1\n"),
+    (["embed"], "3 directed\n0 1\n1 2\n2 0\n2 2\n"),
+    (["recognize", "--mode", "monoid-graph"], "4 undirected\n0 1\n1 2\n2 3\n"),
+    (["tree-classify"], "4 undirected\n0 1\n0 2\n0 3\n"),
+    (["gen", "threshold", "--seq", "did"], ""),
+])
+def test_cli_verifies_each_witness_once(argv, graph, monkeypatch, capsys):
+    calls = _count_verify_calls(monkeypatch)
+    code, out, _ = run_cli(argv, graph, monkeypatch, capsys)
+    assert code == 0 and out.count("cayley-witness") == 1
+    assert len(calls) == 1
+    w, g, recorded = parse_witness_record(out[out.index("cayley-witness"):])
+    assert all(recorded.values()) and recorded == verify_witness(w, g)
+
+
+def test_cli_verify_witness_rederives_its_checks(tmp_path, monkeypatch, capsys):
+    g = functional_digraph([1, 2, 0, 0])
+    record = tmp_path / "w.txt"
+    record.write_text(format_witness_record(construct_monoid(g), g))
+    calls = _count_verify_calls(monkeypatch)
+    code, _, _ = run_cli(["verify-witness", str(record)], "", monkeypatch,
+                         capsys)
+    assert code == 0 and len(calls) == 1
