@@ -49,6 +49,15 @@ class Budget:
                 and time.monotonic() > self._deadline):
             raise BudgetExceededError(f"time budget {self.max_seconds}s exhausted")
 
+    def next_stop(self) -> int:
+        """The next node count at which ``tick`` can raise: one past the
+        node limit, or the next time poll when there is a time limit.  A
+        search may count nodes itself and call ``tick`` only there."""
+        stop = self.max_nodes + 1
+        if self._deadline is not None:
+            stop = min(stop, (self.nodes // 4096 + 1) * 4096)
+        return stop
+
 
 @dataclass
 class SearchOutcome:

@@ -61,29 +61,87 @@ def _left_zero(n: int) -> MulTable:
     return MulTable(n, rows)
 
 
+class _GraphTables:
+    """What the table search asks of one graph, built once for all of its
+    (identity, connection set) candidates.
+
+    ``sets`` are the out-neighborhoods of a digraph (``directed``) or the
+    neighborhoods of a graph.  ``ok`` is a boolean matrix: arc x -> y for
+    a directed carrier; y adjacent to or equal to x for an undirected one.
+    ``conn_vals[x]`` are the sorted values a connection cell of row x may
+    take.  Undirected, the edges get dense ids: ``nbr_e[x]`` pairs each
+    neighbor y of x with the id of {x, y}, and ``eid[x][y]`` is that id
+    (-1 off the edges).
+    """
+
+    def __init__(self, sets: Sequence[frozenset], directed: bool):
+        self.n = n = len(sets)
+        self.directed = directed
+        self.ok = ok = [[False] * n for _ in range(n)]
+        self.out_nbrs = out_nbrs = [sorted(s) for s in sets]
+        if directed:
+            # directed carrier: row x must cover N+(x) exactly
+            self.in_nbrs: List[List[int]] = [[] for _ in range(n)]
+            for x in range(n):
+                for y in out_nbrs[x]:
+                    ok[x][y] = True
+                    self.in_nbrs[y].append(x)
+            self.conn_vals = out_nbrs
+        else:
+            # undirected carrier: each edge needs an arc in some direction
+            self.nbr_e: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+            self.eid = [[-1] * n for _ in range(n)]
+            edges = 0
+            for x in range(n):
+                ok[x][x] = True
+                for y in out_nbrs[x]:
+                    ok[x][y] = True
+                    if x < y:
+                        self.eid[x][y] = self.eid[y][x] = edges
+                        self.nbr_e[x].append((y, edges))
+                        self.nbr_e[y].append((x, edges))
+                        edges += 1
+            self.edges = edges
+            self.conn_vals = [sorted(sets[x] | {x}) for x in range(n)]
+
+
 class _TableSolver:
     """Backtracking search for an associative table realizing a graph.
 
-    ``sets`` are the out-neighborhoods of a digraph (``directed``) or the
-    neighborhoods of a graph.  Cells are assigned in a fixed static order,
-    connection columns first.  Each assignment propagates every
-    associativity triple it completes, via occurrence lists keyed by cell
-    value and lists of the assigned cells of each row and column, and
-    keeps per-row arc coverage counters whose infeasibility prunes the
-    branch.  A complete table is returned only if
-    ``leaf_check(table, connection)``, when given, accepts it; otherwise
-    the search resumes.
+    ``graph`` holds the graph's ``_GraphTables``; the solver allocates
+    only the state of one (identity, connection set) candidate.  Cells
+    are assigned in a fixed static order, connection columns first.  Each
+    assignment propagates every associativity triple it completes, via
+    occurrence lists keyed by cell value (``occ``) and lists of the
+    assigned cells of each row and column (``row_cols``, ``col_rows``),
+    and keeps coverage counters whose infeasibility prunes the branch.
+    A complete table is returned only if ``leaf_check(table, connection)``,
+    when given, accepts it; otherwise the search resumes.
 
-    ``__init__`` tabulates everything the hot path asks of the graph:
-    which columns are connection columns, a boolean matrix ``ok`` (arc
-    x -> y for a directed carrier; y adjacent to or equal to x for an
-    undirected one) read by the value and endomorphism-row checks, the
-    sorted candidate values of each connection row, and, undirected,
-    dense edge ids with list counters for the edge-coverage rule.  It then
-    binds the mutable state (``table``, ``occ``, ``row_cols``,
-    ``col_rows``, ``trail``, ``row_used`` and the counters) into the two
-    kernels ``assign_propagate`` and ``undo_to``, one pair per solver for
-    either carrier.
+    Coverage is counted per row: ``remaining[x]`` is the number of open
+    connection cells of row x.  Directed, row x must still cover its
+    ``uncovered[x]`` out-neighbors, so it needs that many open cells.
+    Undirected, ``ecov`` counts for each edge the arcs that cover it, and
+    an edge {x, y} can still be covered exactly when ``remaining[x] +
+    remaining[y] > 0``.  So the "dead" test of a connection cell in row a
+    runs only when it is the last open one (``remaining[a] == 1``), and
+    looks only at the uncovered edges to neighbors y with ``remaining[y]
+    == 0``.  Committing or undoing a cell a*b = v changes ``remaining[a]``
+    and, when v is a neighbor of a, ``ecov`` of the one edge
+    ``eid[a][v]``.
+
+    ``prefill_identity`` assigns the identity's row and column through the
+    kernel, so each of them still passes every rule.  Those 2n - 1 cells
+    are all it commits: a triple it completes holds e in the middle, where
+    both sides are one cell, or at both ends, where the cell it forces is
+    again an identity cell.  Once they pass, the identity's cells stay in
+    the table, in ``row_used`` and in the counters, but leave ``occ``,
+    ``row_cols``, ``col_rows`` and the trail; nothing undoes below them.
+    This changes no node count: with the identity's row and column
+    complete, every triple that holds e is satisfied by them, and such a
+    triple met through an identity cell in a list has all four cells
+    assigned and equal sides, so it could neither reject a value nor force
+    a cell.
 
     ``assign_propagate`` checks each cell before it commits it.  The
     checks are reads: value domain, endomorphism row (in-arcs too when
@@ -104,21 +162,23 @@ class _TableSolver:
     branching cell: the cell's index in the order, an iterator over its
     untried candidate values, and the trail length to undo to before the
     next one.  It visits the nodes a recursive depth-first search would,
-    in the same order, without a depth limit.
+    in the same order, without a depth limit.  It counts nodes locally and
+    calls ``budget.tick`` only at the nodes where the budget can stop it.
     """
 
     def __init__(
         self,
-        sets: Sequence[frozenset],
+        graph: _GraphTables,
         connection: Iterable[int],
         budget: Budget,
         *,
-        directed: bool,
         identity: Optional[int] = None,
         injective_rows: bool = False,
         leaf_check=None,
     ):
-        self.n = n = len(sets)
+        self.graph = graph
+        self.n = n = graph.n
+        self.directed = graph.directed
         self.conn = tuple(sorted(connection))
         self.budget = budget
         self.identity = identity
@@ -135,35 +195,12 @@ class _TableSolver:
         self.is_conn = [False] * n
         for c in self.conn:
             self.is_conn[c] = True
-        self.directed = directed
-        self.ok = ok = [[False] * n for _ in range(n)]
-        self.out_nbrs = [sorted(s) for s in sets]
-        if directed:
-            # directed carrier: row x must cover N+(x) exactly
-            self.in_nbrs: List[List[int]] = [[] for _ in range(n)]
-            for x in range(n):
-                for y in self.out_nbrs[x]:
-                    ok[x][y] = True
-                    self.in_nbrs[y].append(x)
-            self.conn_vals = self.out_nbrs
-            self.remaining = [len(self.conn)] * n
-            self.uncovered = [len(s) for s in sets]
+        self.remaining = [len(self.conn)] * n
+        if self.directed:
+            self.uncovered = [len(s) for s in graph.out_nbrs]
             self.cover_count = [[0] * n for _ in range(n)]
         else:
-            # undirected carrier: each edge needs an arc in some direction
-            self.nbr_e: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-            edges = 0
-            for x in range(n):
-                ok[x][x] = True
-                for y in self.out_nbrs[x]:
-                    ok[x][y] = True
-                    if x < y:
-                        self.nbr_e[x].append((y, edges))
-                        self.nbr_e[y].append((x, edges))
-                        edges += 1
-            self.conn_vals = [sorted(sets[x] | {x}) for x in range(n)]
-            self.ecov = [0] * edges
-            self.epot = [2 * len(self.conn)] * edges
+            self.ecov = [0] * graph.edges
         free = [b for b in range(n) if not self.is_conn[b]]
         conn_cells = [(x, c) for x in range(n) for c in self.conn]
         rest = [(a, b) for a in range(n) for b in free]
@@ -174,29 +211,30 @@ class _TableSolver:
 
     def _kernels(self):
         """Bind the hot state once and return (assign_propagate, undo_to)."""
+        graph = self.graph
         T = self.table
         occ = self.occ
         row_cols = self.row_cols
         col_rows = self.col_rows
         trail = self.trail
         is_conn = self.is_conn
-        ok = self.ok
-        out_nbrs = self.out_nbrs
+        ok = graph.ok
+        out_nbrs = graph.out_nbrs
         row_used = self.row_used
         injective = row_used is not None
+        remaining = self.remaining
         queue: List[Tuple[int, int, int]] = []
         push = queue.append
         pop = queue.pop
         directed = self.directed
         if directed:
-            in_nbrs = self.in_nbrs
-            remaining = self.remaining
+            in_nbrs = graph.in_nbrs
             uncovered = self.uncovered
             cover_count = self.cover_count
         else:
-            nbr_e = self.nbr_e
+            nbr_e = graph.nbr_e
+            eid = graph.eid
             ecov = self.ecov
-            epot = self.epot
 
         def assign_propagate(a: int, b: int, v: int) -> bool:
             """Assign the open cell (a, b) := v and drain all forced consequences.
@@ -239,9 +277,9 @@ class _TableSolver:
                         if (uncovered[a] - (cover_count[a][v] == 0)
                                 > remaining[a] - 1):
                             return False
-                    else:
+                    elif remaining[a] == 1:
                         for y, e in nbr_e[a]:
-                            if epot[e] == 1 and not ecov[e] and v != y:
+                            if not remaining[y] and not ecov[e] and v != y:
                                 return False
                 # associativity: four roles of the tentative cell
                 Ta[b] = v
@@ -308,17 +346,14 @@ class _TableSolver:
                 if injective:
                     row_used[a][v] = True
                 if conn:
+                    remaining[a] -= 1
                     if directed:
-                        remaining[a] -= 1
                         cc = cover_count[a]
                         if not cc[v]:
                             uncovered[a] -= 1
                         cc[v] += 1
-                    else:
-                        for y, e in nbr_e[a]:
-                            epot[e] -= 1
-                            if v == y:
-                                ecov[e] += 1
+                    elif v != a:
+                        ecov[eid[a][v]] += 1
                 if not queue:
                     return True
                 a, b, v = pop()
@@ -335,17 +370,14 @@ class _TableSolver:
                 if injective:
                     row_used[a][v] = False
                 if is_conn[b]:
+                    remaining[a] += 1
                     if directed:
-                        remaining[a] += 1
                         cc = cover_count[a]
                         cc[v] -= 1
                         if not cc[v]:
                             uncovered[a] += 1
-                    else:
-                        for y, e in nbr_e[a]:
-                            epot[e] += 1
-                            if v == y:
-                                ecov[e] -= 1
+                    elif v != a:
+                        ecov[eid[a][v]] -= 1
 
         return assign_propagate, undo_to
 
@@ -360,6 +392,13 @@ class _TableSolver:
                 return False
             if self.table[x][e] < 0 and not self.assign_propagate(x, e, x):
                 return False
+        # the trail holds exactly the identity's row and column (see the
+        # class docstring); they leave the triple lists and the trail
+        assert len(self.trail) == 2 * self.n - 1
+        for lists in (self.occ, self.row_cols, self.col_rows):
+            for cells in lists:
+                cells.clear()
+        self.trail.clear()
         return True
 
     def search(self) -> Optional[MulTable]:
@@ -367,46 +406,55 @@ class _TableSolver:
         order = self.order
         end = len(order)
         is_conn = self.is_conn
-        conn_vals = self.conn_vals
+        conn_vals = self.graph.conn_vals
         all_vals = range(self.n)
         trail = self.trail
-        tick = self.budget.tick
+        budget = self.budget
+        nodes = budget.nodes
+        stop = budget.next_stop()
         assign_propagate = self.assign_propagate
         undo_to = self.undo_to
         frames = []
         idx = 0
-        while True:
-            # descend to the next open cell, or to a leaf
-            while idx < end:
-                a, b = order[idx]
-                if T[a][b] < 0:
-                    break
-                idx += 1
-            if idx == end:
-                table = self._finish()
-                if table is not None:
-                    return table
-            else:
-                vals = conn_vals[a] if is_conn[b] else all_vals
-                frames.append((idx, a, b, iter(vals), len(trail)))
-            # backtrack to the deepest frame with a candidate left
-            while frames:
-                idx, a, b, vals, mark = frames[-1]
-                if len(trail) > mark:
-                    undo_to(mark)
-                for v in vals:
-                    tick()
-                    if assign_propagate(a, b, v):
+        try:
+            while True:
+                # descend to the next open cell, or to a leaf
+                while idx < end:
+                    a, b = order[idx]
+                    if T[a][b] < 0:
                         break
+                    idx += 1
+                if idx == end:
+                    table = self._finish()
+                    if table is not None:
+                        return table
+                else:
+                    vals = conn_vals[a] if is_conn[b] else all_vals
+                    frames.append((idx, a, b, iter(vals), len(trail)))
+                # backtrack to the deepest frame with a candidate left
+                while frames:
+                    idx, a, b, vals, mark = frames[-1]
                     if len(trail) > mark:
                         undo_to(mark)
+                    for v in vals:
+                        nodes += 1
+                        if nodes >= stop:
+                            budget.nodes = nodes - 1
+                            budget.tick()
+                            stop = budget.next_stop()
+                        if assign_propagate(a, b, v):
+                            break
+                        if len(trail) > mark:
+                            undo_to(mark)
+                    else:
+                        frames.pop()
+                        continue
+                    idx += 1
+                    break
                 else:
-                    frames.pop()
-                    continue
-                idx += 1
-                break
-            else:
-                return None
+                    return None
+        finally:
+            budget.nodes = nodes
 
     def _finish(self) -> Optional[MulTable]:
         rows = tuple(tuple(row) for row in self.table)
@@ -461,13 +509,13 @@ def _search_tables(
         # a nonempty connection set forces positive outdegree everywhere
         return no_outcome(budget)
     injective = directed and is_strongly_connected(g)
+    graph = _GraphTables(sets, directed)
     try:
         for identity, conn in candidates:
             solver = _TableSolver(
-                sets,
+                graph,
                 conn,
                 budget,
-                directed=directed,
                 identity=identity,
                 injective_rows=injective,
                 leaf_check=leaf_check,

@@ -153,6 +153,10 @@ def construct_generated_witness(a: RootedTreeAnalysis) -> CayleyWitness:
     its successor count; leaves absorb every letter.  The product u*v
     walks u along v's canonical root-to-v word.  Requires the sufficient
     condition, which makes the walk independent of representatives.
+
+    v's word is its parent p's word plus v's index i among p's children,
+    so u*v is one step from u*p: each row is filled from e in BFS order
+    with one lookup per cell.
     """
     if not sufficient_check(a):
         raise ValueError("sufficient condition does not hold at this root")
@@ -166,23 +170,21 @@ def construct_generated_witness(a: RootedTreeAnalysis) -> CayleyWitness:
             return v
         return ch[min(i, len(ch) - 1)]
 
-    word: Dict[int, tuple] = {e: ()}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i, u in enumerate(children[v]):
-                word[u] = word[v] + (i,)
-                nxt.append(u)
-        frontier = nxt
+    letters = range(max(map(len, children)))
+    move = [[step(x, i) for i in letters] for x in range(n)]
+    # (v, parent, index of v among the parent's children), in BFS order
+    links: List[Tuple[int, int, int]] = []
+    bfs = [e]
+    for p in bfs:
+        for i, v in enumerate(children[p]):
+            links.append((v, p, i))
+            bfs.append(v)
     rows = []
     for u in range(n):
-        row = []
-        for v in range(n):
-            x = u
-            for i in word[v]:
-                x = step(x, i)
-            row.append(x)
+        row = [0] * n
+        row[e] = u
+        for v, p, i in links:
+            row[v] = move[row[p]][i]
         rows.append(tuple(row))
     # the sufficient condition is what makes this associative; _verified
     # checks that with the rest of the witness

@@ -38,7 +38,7 @@ from semicayley import (
 )
 from semicayley.families import gen_K4_Cl, looped_path_digraph, gen_smallest_tree
 from semicayley.graphs import is_strongly_connected
-from semicayley.recognize import _TableSolver, endomorphisms
+from semicayley.recognize import _GraphTables, _TableSolver, endomorphisms
 from semicayley.witness import generated_submonoid
 
 # frozen: order-3 outregular digraph census, both algebraic modes
@@ -208,6 +208,34 @@ def test_time_budget_stops_at_the_first_poll():
     stops where time is first polled, at node 4,096."""
     out = recognize_monoid_graph(gen_K4_Cl(5), Budget(max_seconds=0))
     assert (out.status, out.nodes) == ("budget-exceeded", 4096)
+
+
+@pytest.mark.parametrize("max_seconds", [None, 600.0])
+@pytest.mark.parametrize("k", [1, 4095, 4096, 15_002, 15_003, 60_008])
+def test_node_budget_stops_one_node_past_its_limit(k, max_seconds):
+    """K4 + C5 runs out of nodes at node k + 1 wherever k falls: around
+    the time poll at 4,096 and around the ends of the first four identity
+    candidates (15,002 nodes each), with and without a time limit."""
+    budget = Budget(max_nodes=k, max_seconds=max_seconds)
+    out = recognize_monoid_graph(gen_K4_Cl(5), budget)
+    assert (out.status, out.nodes, budget.nodes) == (
+        "budget-exceeded", k + 1, k + 1)
+
+
+def test_an_exhausted_search_leaves_its_count_in_the_budget():
+    """The search counts its nodes itself; when it exhausts, the budget
+    holds the count the outcome reports."""
+    star = SimpleGraph(4, [(0, 1), (0, 2), (0, 3)])
+    cases = [
+        (recognize_monoid_digraph, looped_path_digraph(), {}),
+        (recognize_semigroup_digraph, looped_path_digraph(), {}),
+        (recognize_monoid_graph, star,
+         {"require_generated": True, "max_connection": 2}),
+    ]
+    for recognize, g, options in cases:
+        budget = fresh_budget()
+        out = recognize(g, budget, **options)
+        assert out.is_no and out.nodes == budget.nodes > 0
 
 
 def test_failed_table_check_raises_instead_of_resuming(monkeypatch):
@@ -433,9 +461,33 @@ def test_witness_self_check_runs_under_python_O():
 def _solver_state(s):
     """Everything ``assign_propagate`` may write, as a deep copy."""
     counters = ((s.remaining, s.uncovered, s.cover_count) if s.directed
-                else (s.ecov, s.epot))
+                else (s.remaining, s.ecov))
     return copy.deepcopy((s.table, s.occ, s.row_cols, s.col_rows, s.trail,
                           s.row_used, counters))
+
+
+def _check_derived_state(s):
+    """The triple lists hold exactly the cells on the trail, in its order,
+    and the coverage counters count what the table holds.  Once the
+    identity's row and column are complete, none of their cells is on the
+    trail, so none is in the lists either."""
+    T, n, trail = s.table, s.n, s.trail
+    assert s.occ == [[(a, b) for a, b in trail if T[a][b] == v]
+                     for v in range(n)]
+    assert s.row_cols == [[b for a, b in trail if a == x] for x in range(n)]
+    assert s.col_rows == [[a for a, b in trail if b == y] for y in range(n)]
+    e = s.identity
+    if e is not None and all(T[e][x] >= 0 and T[x][e] >= 0 for x in range(n)):
+        assert not any(e in cell for cell in trail)
+    assert s.remaining == [sum(T[x][c] < 0 for c in s.conn) for x in range(n)]
+    if not s.directed:
+        ecov = [0] * s.graph.edges
+        for x in range(n):
+            for c in s.conn:
+                v = T[x][c]
+                if v >= 0 and v != x:
+                    ecov[s.graph.eid[x][v]] += 1
+        assert s.ecov == ecov
 
 
 def _first_cell_rejected(s, arc, a, b, v) -> bool:
@@ -486,12 +538,14 @@ def _first_cell_rejected(s, arc, a, b, v) -> bool:
 
 
 def _watch_kernel(s, arc, seen):
-    """Wrap the solver's kernel so that every call checks what a rejected
-    value leaves behind, before and after ``undo_to``."""
+    """Wrap the solver's kernel so that every call checks the state it
+    starts from, and what a rejected value leaves behind, before and after
+    ``undo_to``."""
     assign, undo = s.assign_propagate, s.undo_to
 
     def checked(a, b, v):
         assert s.table[a][b] < 0
+        _check_derived_state(s)
         before = _solver_state(s)
         mark = len(s.trail)
         at_first = _first_cell_rejected(s, arc, a, b, v)
@@ -515,9 +569,10 @@ def _watch_kernel(s, arc, seen):
 
 def _run_watched(sets, arc, candidates, directed, injective, seen):
     budget = Budget(max_nodes=3000, max_seconds=None)
+    graph = _GraphTables(sets, directed)
     for identity, conn in candidates:
-        s = _TableSolver(sets, conn, budget, directed=directed,
-                         identity=identity, injective_rows=injective)
+        s = _TableSolver(graph, conn, budget, identity=identity,
+                         injective_rows=injective)
         _watch_kernel(s, arc, seen)
         try:
             if s.prefill_identity():
@@ -605,7 +660,7 @@ def test_k4_c5_nodes_per_identity_frozen(identity, nodes):
     g = gen_K4_Cl(5)
     sets = [frozenset(s) for s in g.neighbors()]
     budget = fresh_budget()
-    s = _TableSolver(sets, sets[identity], budget, directed=False,
+    s = _TableSolver(_GraphTables(sets, False), sets[identity], budget,
                      identity=identity)
     assert s.prefill_identity()
     assert s.search() is None

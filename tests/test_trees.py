@@ -16,6 +16,7 @@ from semicayley.trees import (
     NO,
     UNDECIDED,
     YES,
+    _children,
     analyze,
     classify_tree,
     construct_generated_witness,
@@ -65,6 +66,44 @@ def test_construct_generated_witness_small_trees():
         assert witness_ok(w, t)
         gen = generated_submonoid(w.table, w.connection)
         assert len(gen) == t.order
+
+
+def _walk_table(a):
+    """The walk table by its definition: u*v walks u along v's canonical
+    root word, one letter at a time."""
+    n, e = a.tree.order, a.root
+    children = _children(a)
+    word = {e: ()}
+    for v in sorted(range(n), key=lambda x: a.depth[x]):
+        for i, c in enumerate(children[v]):
+            word[c] = word[v] + (i,)
+    rows = []
+    for u in range(n):
+        row = []
+        for v in range(n):
+            x = u
+            for i in word[v]:
+                ch = children[x]
+                x = ch[min(i, len(ch) - 1)] if ch else x
+            row.append(x)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_walk_table_rows_match_the_word_walks_up_to_order_9():
+    """Rows filled one step from the parent's cell give the table that
+    walking each root word gives, at every root of every tree of order
+    at most 9 where the sufficient condition holds."""
+    built = 0
+    for n in range(1, 10):
+        for t in nx_trees(n):
+            for e in range(n):
+                a = analyze(t, e)
+                if sufficient_check(a):
+                    w = construct_generated_witness(a)
+                    assert w.table.rows == _walk_table(a)
+                    built += 1
+    assert built == 84
 
 
 def test_construct_refuses_insufficient_root():
