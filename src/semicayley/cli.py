@@ -8,7 +8,7 @@ stdin/stdout, deterministic output.  Exit status:
 * 1 on input errors, among them an input order over the subcommand's cap
   in ``MAX_ORDER``, a ``gen`` family given the wrong number of parameters
   or more than ``MAX_CARRIER_ORDER`` vertices, and ``census --workers``
-  below 1 or above the CPU count;
+  below 1 or above the number of CPUs the process may use;
 * 2 when a search gave up on its node or time budget;
 * 3 on an internal error: any other exception, reported on one stderr
   line that names its type;
@@ -180,6 +180,8 @@ def _cmd_recognize(args) -> int:
         out = rec(g, _budget(args))
     print(f"status: {out.status}")
     print(f"nodes: {out.nodes}")
+    if args.max_connection is not None:
+        print(f"scope: identities of degree <= {args.max_connection}")
     if out.is_witness:
         _emit_witness(out.witness, g)
     return EXIT_BUDGET if out.is_budget else EXIT_OK
@@ -272,9 +274,10 @@ def _cmd_tree_classify(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from .forked import usable_cpus
     from .recognize import classify_all
 
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     if args.workers is not None and not 1 <= args.workers <= cpus:
         raise _CliError(f"--workers must be between 1 and {cpus}, got {args.workers}")
     report = classify_all(

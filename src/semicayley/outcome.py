@@ -27,9 +27,11 @@ class BudgetExceededError(RuntimeError):
 class Budget:
     """Mutable node/time budget threaded through a search.
 
-    ``tick`` is called once per explored search-tree node.  The time limit
-    counts from the budget's creation and is only polled every 4096 nodes
-    to keep the counter cheap.
+    ``nodes`` counts explored search-tree nodes.  A search either calls
+    ``tick`` once per node or, like the table search, counts nodes itself
+    and calls ``tick`` only at ``next_stop``; ``count`` adds nodes counted
+    elsewhere.  The time limit counts from the budget's creation and is
+    only polled every 4096 nodes to keep the counter cheap.
     """
 
     max_nodes: int = DEFAULT_MAX_NODES
@@ -57,6 +59,25 @@ class Budget:
         if self._deadline is not None:
             stop = min(stop, (self.nodes // 4096 + 1) * 4096)
         return stop
+
+    def count(self, k: int) -> None:
+        """Count ``k`` nodes as ``k`` calls of ``tick`` would: raise where
+        the first of them would raise."""
+        target = self.nodes + k
+        stop = self.next_stop()
+        while target >= stop:
+            self.nodes = stop - 1
+            self.tick()
+            stop = self.next_stop()
+        self.nodes = target
+
+    def fresh(self, max_nodes: int) -> "Budget":
+        """A new count, of at most ``max_nodes`` nodes, under this
+        budget's clock."""
+        budget = Budget(max_nodes=max_nodes, max_seconds=None)
+        budget.max_seconds = self.max_seconds
+        budget._deadline = self._deadline
+        return budget
 
 
 @dataclass

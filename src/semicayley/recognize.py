@@ -23,6 +23,7 @@ exhausted search certifies a negative answer:
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -47,6 +48,13 @@ from .outcome import (
 # WitnessCheckError is imported so that it stays reachable from here too
 from .witness import (CayleyWitness, WitnessCheckError, _verified,  # noqa: F401
                       generated_submonoid)
+
+
+# A search forks workers once it has counted this many nodes at a piece
+# boundary; the largest search of the order-6 census counts 9,173.
+FORK_AFTER = 1 << 16
+# A candidate's pieces are the subtrees under its first SPLIT branching cells.
+SPLIT = 2
 
 
 def _left_zero_with_identity(n: int) -> MulTable:
@@ -158,12 +166,13 @@ class _TableSolver:
     meets the triples in: whether a value passes depends only on the set
     of assignments, and the order of these lists changes no node count.
 
-    ``search`` is a loop over an explicit stack with one frame per
-    branching cell: the cell's index in the order, an iterator over its
-    untried candidate values, and the trail length to undo to before the
-    next one.  It visits the nodes a recursive depth-first search would,
-    in the same order, without a depth limit.  It counts nodes locally and
-    calls ``budget.tick`` only at the nodes where the budget can stop it.
+    ``_walk``, behind ``search`` and ``pieces``, is a loop over an
+    explicit stack with one frame per branching cell: the cell's index in
+    the order, an iterator over its untried candidate values, and the
+    trail length to undo to before the next one.  It visits the nodes a
+    recursive depth-first search would, in the same order, without a depth
+    limit.  It counts nodes locally and calls ``budget.tick`` only at the
+    nodes where the budget can stop it.
     """
 
     def __init__(
@@ -402,6 +411,50 @@ class _TableSolver:
         return True
 
     def search(self) -> Optional[MulTable]:
+        """The first table below the current state that ``_finish``
+        accepts, or None once the subtree is exhausted and the state
+        restored; ``budget`` counts the nodes."""
+        for _, path in self._walk(self.budget, -1):
+            if path is not None:
+                table = self._finish()
+                if table is not None:
+                    return table
+        return None
+
+    def pieces(self):
+        """The pieces of the subtree below the current state, in
+        depth-first order: the subtrees under its first ``SPLIT``
+        branching cells.
+
+        Yields ``(lead, path)`` with the solver in the state of the
+        piece's root, a node that passed at depth ``SPLIT`` or a complete
+        table above it; ``path`` holds the values of the branching cells
+        down to it, and ``search`` there explores the piece.  ``lead``
+        counts the nodes tried at depth ``SPLIT`` or above since the
+        previous piece, the root included.  A last ``(lead, None)`` counts
+        those after the last piece.  The budget counts none of them.
+        """
+        return self._walk(Budget(max_seconds=None), SPLIT)
+
+    def replay(self, path: Sequence[int]) -> None:
+        """Assign ``path``'s values to the next open cells in order, as
+        the walk that yielded the path did."""
+        T = self.table
+        for v in path:
+            a, b = next(cell for cell in self.order if T[cell[0]][cell[1]] < 0)
+            if not self.assign_propagate(a, b, v):
+                raise RuntimeError("a replayed path no longer passes")
+
+    def _walk(self, budget: Budget, split: int):
+        """Depth-first search below the current state, the one loop behind
+        ``search`` and ``pieces``.
+
+        Yields ``(nodes, path)`` at every complete table and at every
+        node of depth ``split`` that passes; on resumption it backtracks
+        from there.  ``path`` holds the values of the branching cells
+        above, ``nodes`` the nodes tried since the previous yield.  Ends
+        by yielding ``(nodes, None)``.
+        """
         T = self.table
         order = self.order
         end = len(order)
@@ -409,52 +462,50 @@ class _TableSolver:
         conn_vals = self.graph.conn_vals
         all_vals = range(self.n)
         trail = self.trail
-        budget = self.budget
-        nodes = budget.nodes
+        nodes = counted = budget.nodes
         stop = budget.next_stop()
         assign_propagate = self.assign_propagate
         undo_to = self.undo_to
         frames = []
         idx = 0
-        try:
-            while True:
-                # descend to the next open cell, or to a leaf
-                while idx < end:
-                    a, b = order[idx]
-                    if T[a][b] < 0:
+        while True:
+            # descend to the next open cell, or to a leaf
+            while idx < end:
+                a, b = order[idx]
+                if T[a][b] < 0:
+                    break
+                idx += 1
+            if idx < end and len(frames) != split:
+                vals = conn_vals[a] if is_conn[b] else all_vals
+                frames.append((idx, a, b, iter(vals), len(trail)))
+            else:
+                budget.nodes = nodes
+                yield nodes - counted, tuple(T[f[1]][f[2]] for f in frames)
+                counted = nodes
+            # backtrack to the deepest frame with a candidate left
+            while frames:
+                idx, a, b, vals, mark = frames[-1]
+                if len(trail) > mark:
+                    undo_to(mark)
+                for v in vals:
+                    nodes += 1
+                    if nodes >= stop:
+                        budget.nodes = nodes - 1
+                        budget.tick()
+                        stop = budget.next_stop()
+                    if assign_propagate(a, b, v):
                         break
-                    idx += 1
-                if idx == end:
-                    table = self._finish()
-                    if table is not None:
-                        return table
-                else:
-                    vals = conn_vals[a] if is_conn[b] else all_vals
-                    frames.append((idx, a, b, iter(vals), len(trail)))
-                # backtrack to the deepest frame with a candidate left
-                while frames:
-                    idx, a, b, vals, mark = frames[-1]
                     if len(trail) > mark:
                         undo_to(mark)
-                    for v in vals:
-                        nodes += 1
-                        if nodes >= stop:
-                            budget.nodes = nodes - 1
-                            budget.tick()
-                            stop = budget.next_stop()
-                        if assign_propagate(a, b, v):
-                            break
-                        if len(trail) > mark:
-                            undo_to(mark)
-                    else:
-                        frames.pop()
-                        continue
-                    idx += 1
-                    break
                 else:
-                    return None
-        finally:
-            budget.nodes = nodes
+                    frames.pop()
+                    continue
+                idx += 1
+                break
+            else:
+                budget.nodes = nodes
+                yield nodes - counted, None
+                return
 
     def _finish(self) -> Optional[MulTable]:
         rows = tuple(tuple(row) for row in self.table)
@@ -510,25 +561,137 @@ def _search_tables(
         return no_outcome(budget)
     injective = directed and is_strongly_connected(g)
     graph = _GraphTables(sets, directed)
+
+    def make(identity, conn):
+        return _TableSolver(graph, conn, budget, identity=identity,
+                            injective_rows=injective, leaf_check=leaf_check)
+
     try:
-        for identity, conn in candidates:
-            solver = _TableSolver(
-                graph,
-                conn,
-                budget,
-                identity=identity,
-                injective_rows=injective,
-                leaf_check=leaf_check,
-            )
-            if not solver.prefill_identity():
-                continue
-            table = solver.search()
-            if table is not None:
-                w = _witness_from_table(mode, table, conn, carrier)
-                return witness_outcome(_verified(w, g), budget)
+        found = _run_pieces(make, candidates, budget)
     except BudgetExceededError:
         return budget_outcome(budget)
-    return no_outcome(budget)
+    if found is None:
+        return no_outcome(budget)
+    w = _witness_from_table(mode, *found, carrier)
+    return witness_outcome(_verified(w, g), budget)
+
+
+def _run_pieces(make, candidates, budget: Budget):
+    """The piece loop: run each candidate's ``pieces`` in order and return
+    the first table found, with its connection set, or None.
+
+    ``make(identity, conn)`` builds a candidate's solver on ``budget``.
+    Pieces run in process, on the budget itself, until the search has
+    counted ``FORK_AFTER`` nodes at a piece boundary.  From there, if this
+    process may fork and may use more than one CPU, the remaining pieces
+    go in order to that many forked workers, one to each idle worker, and
+    the parent merges the answers in order: first the piece's ``lead``,
+    then its subtree's nodes, then its table.  So the status, the table
+    and the node count are those of the serial search: the first piece in
+    order that holds a table gives the witness, and a node limit passed
+    inside a piece stops the count at one node past it.  Once an answer
+    decides the outcome no piece is handed out, and every worker is killed
+    and reaped before the loop returns or raises.
+    """
+    start = budget.nodes
+    workers = None      # None until the fork decision, then False or Workers
+    queue: deque = deque()  # pieces not merged yet: [lead, conn, answer]
+    decided = False     # an answer in the queue ends the search
+
+    def collect() -> None:
+        nonlocal decided
+        for entry, ok, value in workers.wait():
+            entry[2] = (ok, value)
+            decided = decided or not ok or value[1] is not None or value[2]
+
+    def merge():
+        """Merge the answered pieces at the front of the queue; the table
+        of the first one that holds one, with its connection set."""
+        while queue and queue[0][2] is not None:
+            lead, conn, (ok, value) = queue.popleft()
+            budget.count(lead)
+            if not ok:
+                raise value
+            nodes, table, stopped = value
+            budget.count(nodes)
+            if stopped:  # count has raised; a stopped piece is never exhausted
+                raise BudgetExceededError("budget exhausted in a worker")
+            if table is not None:
+                return table, conn
+        return None
+
+    def pieces():
+        for identity, conn in candidates:
+            solver = make(identity, conn)
+            if solver.prefill_identity():
+                for lead, path in solver.pieces():
+                    yield solver, lead, path
+
+    try:
+        for solver, lead, path in pieces():
+            if workers is None and budget.nodes - start >= FORK_AFTER:
+                workers = _start_workers(make, budget)
+            if not workers:
+                budget.count(lead)
+                if path is not None:
+                    table = solver.search()
+                    if table is not None:
+                        return table, solver.conn
+                continue
+            if path is None:
+                queue.append([lead, solver.conn, (True, (0, None, False))])
+                continue
+            while not workers.idle() and not decided:
+                collect()
+                found = merge()
+                if found is not None:
+                    return found
+            if decided:
+                break
+            entry = [lead, solver.conn, None]
+            queue.append(entry)
+            workers.submit(entry, (solver.identity, solver.conn, path,
+                                   budget.max_nodes - budget.nodes))
+        while queue:
+            if queue[0][2] is None:
+                collect()
+            found = merge()
+            if found is not None:
+                return found
+        return None
+    finally:
+        if workers:
+            workers.close()
+
+
+def _start_workers(make, budget: Budget):
+    """Workers for the rest of a search, or False where it may not fork."""
+    from . import forked
+
+    cpus = forked.usable_cpus()
+    if cpus < 2 or not forked.may_fork():
+        return False
+    held = []  # a worker's solver for the candidate of its last piece
+
+    def run(job):
+        """Explore one piece under a fresh count of at most ``cap`` nodes:
+        (nodes, table or None, whether the count stopped it)."""
+        identity, conn, path, cap = job
+        if not held or (held[0].identity, held[0].conn) != (identity, conn):
+            held[:] = [make(identity, conn)]
+            held[0].prefill_identity()
+        solver = held[0]
+        solver.budget = budget.fresh(cap)
+        solver.replay(path)
+        try:
+            table = solver.search()
+        except BudgetExceededError:
+            return solver.budget.nodes, None, True
+        finally:
+            solver.undo_to(0)
+        return solver.budget.nodes, table, False
+
+    return forked.Workers(run, cpus)
 
 
 def recognize_monoid_digraph(
@@ -807,7 +970,8 @@ def classify_all(
     Digraph modes run over all outregular digraphs (every outdegree
     equal, including the edgeless case); the undirected mode runs over
     all simple graphs.  Each instance gets a fresh budget so one hard
-    instance cannot starve the rest.
+    instance cannot starve the rest.  ``workers`` > 1 classifies on that
+    many forked workers (see ``forked``), whose searches stay serial.
     """
     if mode not in CENSUS_MODES:
         raise ValueError(f"unknown census mode: {mode}")
@@ -815,10 +979,10 @@ def classify_all(
     graphs = enumerate_graphs(order, kind)
     jobs = [(g, mode, max_nodes, max_seconds) for g in graphs]
     if workers and workers > 1:
-        import multiprocessing
+        from . import forked
 
-        with multiprocessing.Pool(workers) as pool:
-            entries = pool.map(_run_census_instance, jobs)
-    else:
-        entries = [_run_census_instance(job) for job in jobs]
+        if forked.may_fork():
+            entries = forked.run_all(_run_census_instance, jobs, workers)
+            return CensusReport(order, mode, entries)
+    entries = [_run_census_instance(job) for job in jobs]
     return CensusReport(order, mode, entries)

@@ -442,6 +442,26 @@ def test_cli_embed_and_gen_threshold_load_no_search(tmp_path):
         assert not loaded & {"recognize", "multiprocessing"}, argv
 
 
+def test_a_forking_search_loads_no_multiprocessing():
+    """Refuting K4 + C5 forks its workers with ``os.fork`` and pipes."""
+    loaded = _loaded_in_child(
+        "import os\n"
+        "from semicayley import forked, recognize_monoid_graph\n"
+        "from semicayley.families import gen_K4_Cl\n"
+        "forked.usable_cpus = lambda: 2\n"
+        "fork, started = os.fork, []\n"
+        "def counted_fork():\n"
+        "    pid = fork()\n"
+        "    started.append(pid)\n"
+        "    return pid\n"
+        "os.fork = counted_fork\n"
+        "out = recognize_monoid_graph(gen_K4_Cl(5))\n"
+        "assert (out.status, out.nodes) == ('exhausted-no', 1272392), out\n"
+        "assert len(started) == 2 and all(started), started\n")
+    assert "recognize" in loaded and "forked" in loaded
+    assert "multiprocessing" not in loaded
+
+
 def test_every_public_name_resolves():
     for name in semicayley.__all__:
         assert getattr(semicayley, name) is not None, name

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import os
 import subprocess
 import sys
 
@@ -38,7 +39,9 @@ from semicayley import (
 )
 from semicayley.families import gen_K4_Cl, looped_path_digraph, gen_smallest_tree
 from semicayley.graphs import is_strongly_connected
-from semicayley.recognize import _GraphTables, _TableSolver, endomorphisms
+from semicayley import forked, recognize as recognize_module
+from semicayley.recognize import (_GraphTables, _TableSolver, _search_tables,
+                                  endomorphisms)
 from semicayley.witness import generated_submonoid
 
 # frozen: order-3 outregular digraph census, both algebraic modes
@@ -665,3 +668,172 @@ def test_k4_c5_nodes_per_identity_frozen(identity, nodes):
     assert s.prefill_identity()
     assert s.search() is None
     assert budget.nodes == nodes
+
+
+# -- searches split into pieces and run on forked workers -------------------
+
+
+def _two_cpus_counting_forks(monkeypatch) -> list:
+    """Report two usable CPUs whatever the machine has; the returned list
+    collects the pid of every worker started."""
+    started = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return started
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Every search forks at its first piece boundary, onto two workers.
+    Returns the pids of the workers started."""
+    monkeypatch.setattr(recognize_module, "FORK_AFTER", 0)
+    return _two_cpus_counting_forks(monkeypatch)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _answer(out):
+    w = out.witness
+    rows = (w.table.rows, w.table.identity, w.connection) if w else None
+    return out.status, out.nodes, rows
+
+
+def _serial_and_forked(monkeypatch, run):
+    """``run()`` with every search in process, then forking at once."""
+    monkeypatch.setattr(recognize_module, "FORK_AFTER", float("inf"))
+    serial = run()
+    monkeypatch.setattr(recognize_module, "FORK_AFTER", 0)
+    return serial, run()
+
+
+@pytest.mark.parametrize("identity, nodes", [
+    (0, 15_002), (1, 15_002), (2, 15_002), (3, 15_002),
+    (4, 46_086), (5, 44_166), (8, 46_086)])
+def test_forked_k4_c5_per_identity_matches_the_pins(forking, identity, nodes):
+    g = gen_K4_Cl(5)
+    sets = [frozenset(s) for s in g.neighbors()]
+    budget = fresh_budget()
+    out = _search_tables("monoid-graph", g, budget, sets,
+                         [(identity, sets[identity])])
+    assert (out.status, out.nodes, budget.nodes) == ("exhausted-no", nodes, nodes)
+    assert len(forking) == 2
+    assert_no_child_left()
+
+
+def test_k4_c5_forks_past_the_threshold_with_the_serial_count(monkeypatch):
+    """At the real threshold: the search forks once, onto two workers, and
+    still exhausts in 1,272,392 nodes."""
+    started = _two_cpus_counting_forks(monkeypatch)
+    out = recognize_monoid_graph(gen_K4_Cl(5), fresh_budget())
+    assert (out.status, out.nodes) == ("exhausted-no", 1_272_392)
+    assert len(started) == 2
+    assert_no_child_left()
+    out = recognize_monoid_graph(gen_K4_Cl(5), Budget(max_nodes=60_008))
+    assert (out.status, out.nodes) == ("budget-exceeded", 60_009)
+    assert len(started) == 2  # under the threshold: no fork
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"require_generated": True}, {"max_connection": 2}])
+def test_forked_search_matches_serial_on_order_5(forking, monkeypatch, options):
+    graphs = list(enumerate_graphs(5, "simple"))
+
+    def run():
+        return [_answer(recognize_monoid_graph(g, fresh_budget(), **options))
+                for g in graphs]
+
+    serial, parallel = _serial_and_forked(monkeypatch, run)
+    assert parallel == serial
+    assert forking
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("mode", ["monoid-digraph", "semigroup-digraph"])
+def test_forked_order_4_digraph_census_matches_serial(forking, monkeypatch, mode):
+    def run():
+        return [(entry.key, _answer(entry.outcome))
+                for entry in classify_all(4, mode).entries]
+
+    serial, parallel = _serial_and_forked(monkeypatch, run)
+    assert parallel == serial
+    assert forking
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("max_seconds", [None, 600.0])
+@pytest.mark.parametrize("k", [1, 4095, 4096, 15_002, 15_003, 60_008])
+def test_forked_node_budget_stops_one_node_past_its_limit(forking, k,
+                                                          max_seconds):
+    budget = Budget(max_nodes=k, max_seconds=max_seconds)
+    out = recognize_monoid_graph(gen_K4_Cl(5), budget)
+    assert (out.status, out.nodes, budget.nodes) == (
+        "budget-exceeded", k + 1, k + 1)
+    assert forking
+    assert_no_child_left()
+
+
+def test_forked_time_budget_stops_at_the_first_poll(forking):
+    out = recognize_monoid_graph(gen_K4_Cl(5), Budget(max_seconds=0))
+    assert (out.status, out.nodes) == ("budget-exceeded", 4096)
+    assert forking
+    assert_no_child_left()
+
+
+def test_forked_witness_found_early_leaves_no_worker(forking):
+    out = recognize_monoid_graph(cycle_graph(7), fresh_budget())
+    assert out.is_witness and witness_ok(out.witness, cycle_graph(7))
+    assert forking
+    assert_no_child_left()
+
+
+def test_leaf_check_raising_in_a_worker_reaches_the_caller(forking):
+    g = cycle_graph(5)
+    sets = [frozenset(s) for s in g.neighbors()]
+    pid = os.getpid()
+
+    def leaf_check(table, conn):
+        raise ValueError(f"leaf check in process {os.getpid() != pid}")
+
+    with pytest.raises(ValueError, match="leaf check in process True"):
+        _search_tables("monoid-graph", g, fresh_budget(), sets,
+                       [(e, sets[e]) for e in range(5)], leaf_check)
+    assert forking
+    assert_no_child_left()
+
+
+def test_no_search_forks_inside_a_worker_or_beside_a_thread(forking):
+    """A census worker's searches stay serial, and so does a search in a
+    process that runs a second Python thread."""
+    import threading
+
+    assert forked.may_fork()
+    assert forked.run_all(lambda job: forked.may_fork(), [0, 1, 2], 2) == [
+        False, False, False]
+    assert len(forking) == 2
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not forked.may_fork()
+        g = gen_K4_Cl(5)
+        sets = [frozenset(s) for s in g.neighbors()]
+        out = _search_tables("monoid-graph", g, fresh_budget(), sets,
+                             [(0, sets[0])])
+        assert (out.status, out.nodes) == ("exhausted-no", 15_002)
+        assert len(forking) == 2
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert_no_child_left()

@@ -14,7 +14,7 @@ with ``python -m``: ``python -m semicayley gen looped-path``, and a
 from __future__ import annotations
 
 import io
-import multiprocessing
+import os
 import shutil
 import subprocess
 import sys
@@ -39,7 +39,7 @@ from semicayley import (
     verify_witness,
     witness_ok,
 )
-from semicayley import cli
+from semicayley import cli, forked
 from semicayley.cli import MAX_ORDER, main
 from semicayley.families import gen_perfect_kary, looped_path_digraph, gen_threshold
 from semicayley.witness import CayleyWitness, WitnessRecordError
@@ -481,16 +481,50 @@ def test_cli_gen_accepts_families_at_the_cap(monkeypatch, capsys):
 @pytest.mark.parametrize("workers", ["0", "100000"])
 def test_cli_census_bounds_workers_before_starting_any(workers, monkeypatch,
                                                        capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker was started")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(forked, "Workers", no_workers)
     code, out, err = run_cli(
         ["census", "3", "--mode", "monoid-graph", "--workers", workers],
         capsys=capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: --workers must be between 1 and ")
     assert err.count("\n") == 1
+
+
+def test_cli_census_workers_bound_is_the_cpus_the_process_may_use(
+        monkeypatch, capsys):
+    """The bound is the process's CPU affinity, not the machine's count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    code, out, err = run_cli(
+        ["census", "3", "--mode", "monoid-graph", "--workers", "2"],
+        capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: --workers must be between 1 and 1, got 2\n"
+    many = set(range((os.cpu_count() or 1) + 1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: many)
+    argv = ["census", "3", "--mode", "monoid-graph", "--workers", str(len(many))]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 0 and err == "# total=4 witness=4\n"
+    assert len(out.splitlines()) == 4
+
+
+def test_cli_recognize_states_the_scope_of_a_restricted_search(
+        monkeypatch, capsys):
+    """A negative under ``--max-connection`` says which identities it
+    exhausted; an unrestricted answer prints no scope."""
+    from semicayley.families import gen_K4_Cl
+
+    code, out, _ = run_cli(
+        ["recognize", "--mode", "monoid-graph", "--max-connection", "2"],
+        format_graph(gen_K4_Cl(5)), monkeypatch, capsys)
+    assert code == 0
+    assert out == ("status: exhausted-no\nnodes: 1212384\n"
+                   "scope: identities of degree <= 2\n")
+    code, out, _ = run_cli(["recognize", "--mode", "monoid-graph"],
+                           format_graph(cycle_graph(5)), monkeypatch, capsys)
+    assert code == 0 and "scope:" not in out
 
 
 def test_cli_closed_stdout_exits_quietly(tmp_path):
