@@ -14,6 +14,7 @@ __all__ = [
     "TableFormatError",
     "validate_table",
     "check_connection_set",
+    "cayley_arc_set",
     "cayley_digraph",
     "underlying_graph",
     "parse_table",
@@ -127,11 +128,16 @@ def _checked(t: MulTable) -> MulTable:
     return t
 
 
+def cayley_arc_set(table: MulTable, connection) -> frozenset:
+    """Arc set of Cay(table, connection); empty connection gives no arcs."""
+    return frozenset((s, table.rows[s][c])
+                     for s in range(table.order) for c in connection)
+
+
 def cayley_digraph(t: MulTable, conn: Iterable[int]) -> Digraph:
     """Arcs (s, s*c) for c in the connection set; parallel arcs collapse."""
     _checked(t)
-    c = check_connection_set(conn, t.order)
-    return Digraph(t.order, {(s, t.rows[s][x]) for s in range(t.order) for x in c})
+    return Digraph(t.order, cayley_arc_set(t, check_connection_set(conn, t.order)))
 
 
 def underlying_graph(g: Digraph) -> SimpleGraph:

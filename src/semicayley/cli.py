@@ -30,9 +30,12 @@ from typing import Optional
 from .graphs import Digraph, GraphFormatError, SimpleGraph, parse_graph
 from .outcome import (
     BUDGET_EXCEEDED,
+    CENSUS_MAX_NODES,
+    CENSUS_MAX_SECONDS,
     CENSUS_MODES,
     Budget,
     BudgetExceededError,
+    DEFAULT_MAX_MAPS,
     DEFAULT_MAX_NODES,
     DEFAULT_MAX_SECONDS,
     MAX_CARRIER_ORDER,
@@ -147,10 +150,9 @@ def _cmd_embed(args) -> int:
     g = _input_graph(args)
     if isinstance(g, SimpleGraph):
         w = embed_undirected(g, max_maps=args.max_maps)
-        _emit_witness(w, g)
-        return EXIT_OK
-    fam = greedy_cover(g, max(g.out_degrees()))
-    w = embed_monoid(g, fam, max_maps=args.max_maps)
+    else:
+        fam = greedy_cover(g, max(g.out_degrees()))
+        w = embed_monoid(g, fam, max_maps=args.max_maps)
     _emit_witness(w, g)
     return EXIT_OK
 
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("embed",
                        help="represent a graph inside a larger transition monoid")
-    q.add_argument("--max-maps", type=int, default=10**6,
+    q.add_argument("--max-maps", type=int, default=DEFAULT_MAX_MAPS,
                    help="closure size cap (default %(default)s)")
     q.add_argument("graph", nargs="?")
     q.set_defaults(func=_cmd_embed)
@@ -377,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("order", type=int)
     q.add_argument("--mode", required=True, choices=CENSUS_MODES)
     q.add_argument("--workers", type=int, default=None)
-    q.add_argument("--max-nodes", type=int, default=10_000_000)
-    q.add_argument("--max-seconds", type=float, default=60.0)
+    q.add_argument("--max-nodes", type=int, default=CENSUS_MAX_NODES)
+    q.add_argument("--max-seconds", type=float, default=CENSUS_MAX_SECONDS)
     q.set_defaults(func=_cmd_census)
 
     q = sub.add_parser("verify-witness",

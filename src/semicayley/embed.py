@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from .algebra import MulTable
 from .graphs import Digraph, SimpleGraph
 from .invariants import orientation_with_outdegree, pseudoarboricity
-from .outcome import MAX_CARRIER_ORDER, BudgetExceededError
+from .outcome import DEFAULT_MAX_MAPS, MAX_CARRIER_ORDER, BudgetExceededError
 from .witness import CayleyWitness, _verified
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "embed_undirected",
 ]
 
-DEFAULT_MAX_MAPS = 10**6
 DEFAULT_MAX_ORDER = MAX_CARRIER_ORDER
 
 
@@ -103,8 +102,12 @@ def closure(fam: FunctionFamily, max_maps: int = DEFAULT_MAX_MAPS) -> tuple:
     """All compositions of family members, identity included.
 
     BFS over right-composition; the returned tuple starts with the
-    identity and lists maps in discovery order (deterministic).
+    identity and lists maps in discovery order (deterministic).  The
+    identity alone counts one map, so ``max_maps`` below 1 is a
+    ``ValueError``.
     """
+    if max_maps < 1:
+        raise ValueError(f"max_maps must be >= 1, got {max_maps}")
     n = fam.order
     ident = tuple(range(n))
     seen = {ident}

@@ -1,18 +1,21 @@
 """Worker processes made with ``os.fork`` and pipes.
 
 A long table search and a census run with workers hand their jobs to
-children of the calling process.  A child inherits, by the fork, the
-function that runs a job and everything that function reads; only the
-jobs and their results cross the pipes, pickled.  A child never forks
-again, and a process with more than one Python thread never forks: a
-child forked while another thread holds a lock can deadlock on it.
+children of the calling process through ``ordered``, which yields the
+answers in job order.  A child inherits, by the fork, the function that
+runs a job and everything that function reads; only the jobs and their
+results cross the pipes, pickled.  A child never forks again, and a
+process with more than one Python thread never forks: a child forked
+while another thread holds a lock can deadlock on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
-from typing import Callable, Dict, List, Sequence, Tuple
+from collections import deque
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 _in_worker = False
 
@@ -84,16 +87,16 @@ class Workers:
     """Up to ``count`` forked children, each running ``run(job)`` on one
     job at a time.
 
-    ``submit`` hands a job to an idle child under a tag.  ``wait`` blocks
-    until at least one busy child has answered and returns ``(tag, ok,
-    value)`` per answer: ``run``'s return value, or the exception it
-    raised.  ``close`` kills every child and reaps it; the context
-    manager calls it on every path out.
+    ``submit`` hands a job to an idle child under a tag other than None;
+    the caller keeps count of the idle ones.  ``wait`` blocks until at
+    least one child has answered and returns ``(tag, ok, value)`` per
+    answer: ``run``'s return value, or the exception it raised.  ``close``
+    kills every child and reaps it.
     """
 
     def __init__(self, run: Callable, count: int):
-        self._children: Dict[int, list] = {}  # result fd -> [pid, job fd, tag]
-        self._idle: List[int] = []
+        # result fd -> [pid, job fd, tag of its job or None while idle]
+        self._children: Dict[int, list] = {}
         try:
             for _ in range(count):
                 self._start(run)
@@ -122,33 +125,18 @@ class Workers:
         os.close(jobs_r)
         os.close(results_w)
         self._children[results_r] = [pid, jobs_w, None]
-        self._idle.append(results_r)
-
-    def __enter__(self) -> "Workers":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def idle(self) -> bool:
-        return bool(self._idle)
-
-    def busy(self) -> bool:
-        return len(self._idle) < len(self._children)
 
     def submit(self, tag, job) -> None:
-        fd = self._idle.pop(0)
-        child = self._children[fd]
+        child = next(c for c in self._children.values() if c[2] is None)
         child[2] = tag
         _send(child[1], job)
 
     def wait(self) -> List[Tuple[object, bool, object]]:
         import select
 
-        poll = select.poll()
+        poll = select.poll()  # an idle child has nothing to read
         for fd in self._children:
-            if fd not in self._idle:
-                poll.register(fd, select.POLLIN)
+            poll.register(fd, select.POLLIN)
         answers = []
         for fd, _ in poll.poll():
             child = self._children[fd]
@@ -159,13 +147,12 @@ class Workers:
                                    "without answering") from None
             answers.append((child[2], ok, value))
             child[2] = None
-            self._idle.append(fd)
         return answers
 
     def close(self) -> None:
         import signal
 
-        children, self._children, self._idle = self._children, {}, []
+        children, self._children = self._children, {}
         for pid, _, _ in children.values():
             try:
                 os.kill(pid, signal.SIGKILL)
@@ -180,20 +167,47 @@ class Workers:
             os.close(job_fd)
 
 
+def ordered(run: Callable, jobs: Iterable, count: int) -> Iterator:
+    """Run each ``(tag, job)`` of ``jobs`` as ``run(job)`` on ``count``
+    forked workers and yield ``(tag, ok, value)`` per job, in job order:
+    ``run``'s return value, or the exception it raised.
+
+    A job is drawn from ``jobs`` only when a worker is idle, and only
+    after every answer ready in order has been yielded, so at most
+    ``count`` drawn jobs are unanswered at a time; answers that arrive
+    before an earlier one wait for it.  Closing the generator, or leaving
+    it on an exception, kills and reaps every worker.
+    """
+    workers = Workers(run, count)
+    try:
+        jobs = iter(jobs)
+        pending: deque = deque()  # [tag, (ok, value) or None], in job order
+        running = 0
+        while True:
+            while pending and pending[0][1] is not None:
+                tag, (ok, value) = pending.popleft()
+                yield tag, ok, value
+            for tag, job in itertools.islice(jobs, count - running):
+                pending.append([tag, None])
+                workers.submit(pending[-1], job)
+                running += 1
+            if not running:
+                return
+            for entry, ok, value in workers.wait():
+                entry[1] = (ok, value)
+                running -= 1
+    finally:
+        workers.close()
+
+
 def run_all(run: Callable, jobs: Sequence, count: int) -> list:
     """``[run(job) for job in jobs]`` on ``count`` forked workers, each
     handed the index of its next job.  The first exception in job order
     is raised."""
-    results: list = [None] * len(jobs)
-    with Workers(lambda i: run(jobs[i]), min(count, len(jobs))) as workers:
-        nxt = 0
-        while nxt < len(jobs) or workers.busy():
-            while nxt < len(jobs) and workers.idle():
-                workers.submit(nxt, nxt)
-                nxt += 1
-            for i, ok, value in workers.wait():
-                results[i] = (ok, value)
-    for ok, value in results:
+    answers = list(ordered(lambda i: run(jobs[i]),
+                           ((i, i) for i in range(len(jobs))),
+                           min(count, len(jobs))))
+    for _, ok, value in answers:
         if not ok:
             raise value
-    return [value for _, value in results]
+    return [value for _, _, value in answers]

@@ -17,6 +17,11 @@ MAX_CARRIER_ORDER = 4096
 
 DEFAULT_MAX_NODES = 100_000_000
 DEFAULT_MAX_SECONDS = 600.0
+# A census gives each class a fresh budget of this size.
+CENSUS_MAX_NODES = 10_000_000
+CENSUS_MAX_SECONDS = 60.0
+# Largest transition monoid an embedding may close.
+DEFAULT_MAX_MAPS = 10**6
 
 
 class BudgetExceededError(RuntimeError):
@@ -31,7 +36,8 @@ class Budget:
     ``tick`` once per node or, like the table search, counts nodes itself
     and calls ``tick`` only at ``next_stop``; ``count`` adds nodes counted
     elsewhere.  The time limit counts from the budget's creation and is
-    only polled every 4096 nodes to keep the counter cheap.
+    only polled every 4096 nodes to keep the counter cheap.  A negative
+    limit is a ``ValueError``.
     """
 
     max_nodes: int = DEFAULT_MAX_NODES
@@ -40,7 +46,12 @@ class Budget:
     _deadline: Optional[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.max_nodes < 0:
+            raise ValueError(f"node budget must be >= 0, got {self.max_nodes}")
         if self.max_seconds is not None:
+            if not self.max_seconds >= 0:  # NaN too
+                raise ValueError(
+                    f"time budget must be >= 0 seconds, got {self.max_seconds}")
             self._deadline = time.monotonic() + self.max_seconds
 
     def tick(self) -> None:
@@ -73,8 +84,9 @@ class Budget:
 
     def fresh(self, max_nodes: int) -> "Budget":
         """A new count, of at most ``max_nodes`` nodes, under this
-        budget's clock."""
-        budget = Budget(max_nodes=max_nodes, max_seconds=None)
+        budget's clock.  A negative ``max_nodes``, which a spent budget
+        gives, stops it at its first node."""
+        budget = Budget(max_nodes=max(max_nodes, 0), max_seconds=None)
         budget.max_seconds = self.max_seconds
         budget._deadline = self._deadline
         return budget

@@ -23,7 +23,6 @@ exhausted search certifies a negative answer:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -37,6 +36,8 @@ from .graphs import (
     is_strongly_connected,
 )
 from .outcome import (
+    CENSUS_MAX_NODES,
+    CENSUS_MAX_SECONDS,
     CENSUS_MODES,
     Budget,
     BudgetExceededError,
@@ -57,16 +58,12 @@ FORK_AFTER = 1 << 16
 SPLIT = 2
 
 
-def _left_zero_with_identity(n: int) -> MulTable:
-    """Monoid on {0..n-1} with identity 0 and x*y = x off the identity."""
-    rows = [tuple(range(n))]
-    rows += [tuple(x for _ in range(n)) for x in range(1, n)]
-    return MulTable(n, tuple(rows), identity=0)
-
-
-def _left_zero(n: int) -> MulTable:
-    rows = tuple(tuple(x for _ in range(n)) for x in range(n))
-    return MulTable(n, rows)
+def _left_zero(n: int, monoid: bool) -> MulTable:
+    """x*y = x on {0..n-1}; with ``monoid``, 0 is an identity instead."""
+    rows = [(x,) * n for x in range(n)]
+    if monoid:
+        rows[0] = tuple(range(n))
+    return MulTable(n, rows, identity=0 if monoid else None)
 
 
 class _GraphTables:
@@ -548,10 +545,7 @@ def _search_tables(
     directed = mode != "monoid-graph"
     carrier = "directed" if directed else "undirected"
     if not any(sets):
-        if mode == "semigroup-digraph":
-            table = _left_zero(n)
-        else:
-            table = _left_zero_with_identity(n)
+        table = _left_zero(n, mode != "semigroup-digraph")
         if leaf_check is not None and not leaf_check(table, ()):
             return no_outcome(budget)
         w = _witness_from_table(mode, table, (), carrier)
@@ -577,121 +571,90 @@ def _search_tables(
 
 
 def _run_pieces(make, candidates, budget: Budget):
-    """The piece loop: run each candidate's ``pieces`` in order and return
-    the first table found, with its connection set, or None.
+    """The merge loop: take each candidate's pieces' answers in order and
+    return the first table found, with its connection set, or None.
 
     ``make(identity, conn)`` builds a candidate's solver on ``budget``.
-    Pieces run in process, on the budget itself, until the search has
-    counted ``FORK_AFTER`` nodes at a piece boundary.  From there, if this
-    process may fork and may use more than one CPU, the remaining pieces
-    go in order to that many forked workers, one to each idle worker, and
-    the parent merges the answers in order: first the piece's ``lead``,
-    then its subtree's nodes, then its table.  So the status, the table
-    and the node count are those of the serial search: the first piece in
-    order that holds a table gives the witness, and a node limit passed
-    inside a piece stops the count at one node past it.  Once an answer
-    decides the outcome no piece is handed out, and every worker is killed
-    and reaped before the loop returns or raises.
+    Each answer is merged as the serial search would meet it: first the
+    piece's ``lead``, then its subtree's nodes, then its table.  So the
+    status, the table and the node count are those of the serial search:
+    the first piece in order that holds a table gives the witness, and a
+    node limit passed inside a piece stops the count at one node past it.
+    The answers come from ``_answers``, in process or from workers.
     """
-    start = budget.nodes
-    workers = None      # None until the fork decision, then False or Workers
-    queue: deque = deque()  # pieces not merged yet: [lead, conn, answer]
-    decided = False     # an answer in the queue ends the search
-
-    def collect() -> None:
-        nonlocal decided
-        for entry, ok, value in workers.wait():
-            entry[2] = (ok, value)
-            decided = decided or not ok or value[1] is not None or value[2]
-
-    def merge():
-        """Merge the answered pieces at the front of the queue; the table
-        of the first one that holds one, with its connection set."""
-        while queue and queue[0][2] is not None:
-            lead, conn, (ok, value) = queue.popleft()
+    answers = _answers(make, candidates, budget)
+    try:
+        for (lead, conn), ok, value in answers:
             budget.count(lead)
             if not ok:
                 raise value
             nodes, table, stopped = value
             budget.count(nodes)
             if stopped:  # count has raised; a stopped piece is never exhausted
-                raise BudgetExceededError("budget exhausted in a worker")
+                raise BudgetExceededError("budget exhausted in a piece")
             if table is not None:
                 return table, conn
         return None
-
-    def pieces():
-        for identity, conn in candidates:
-            solver = make(identity, conn)
-            if solver.prefill_identity():
-                for lead, path in solver.pieces():
-                    yield solver, lead, path
-
-    try:
-        for solver, lead, path in pieces():
-            if workers is None and budget.nodes - start >= FORK_AFTER:
-                workers = _start_workers(make, budget)
-            if not workers:
-                budget.count(lead)
-                if path is not None:
-                    table = solver.search()
-                    if table is not None:
-                        return table, solver.conn
-                continue
-            if path is None:
-                queue.append([lead, solver.conn, (True, (0, None, False))])
-                continue
-            while not workers.idle() and not decided:
-                collect()
-                found = merge()
-                if found is not None:
-                    return found
-            if decided:
-                break
-            entry = [lead, solver.conn, None]
-            queue.append(entry)
-            workers.submit(entry, (solver.identity, solver.conn, path,
-                                   budget.max_nodes - budget.nodes))
-        while queue:
-            if queue[0][2] is None:
-                collect()
-            found = merge()
-            if found is not None:
-                return found
-        return None
     finally:
-        if workers:
-            workers.close()
+        answers.close()
 
 
-def _start_workers(make, budget: Budget):
-    """Workers for the rest of a search, or False where it may not fork."""
-    from . import forked
+def _answers(make, candidates, budget: Budget):
+    """``((lead, conn), ok, answer)`` per piece of each candidate, in
+    depth-first order; ``answer`` is ``_explore``'s, or the exception
+    raised in its place.
 
-    cpus = forked.usable_cpus()
-    if cpus < 2 or not forked.may_fork():
-        return False
-    held = []  # a worker's solver for the candidate of its last piece
+    Pieces are explored in process until the search has counted
+    ``FORK_AFTER`` nodes at a piece boundary.  From there, if this
+    process may fork and may use more than one CPU, the rest go to that
+    many forked workers through ``forked.ordered``.  It draws the next
+    piece, and so walks the search to it, only when a worker is idle, and
+    none once the caller closes the stream.
+    """
+    start = budget.nodes
+    pieces = ((solver, lead, path)
+              for solver in (make(e, conn) for e, conn in candidates)
+              if solver.prefill_identity()
+              for lead, path in solver.pieces())
+    for piece in pieces:
+        if budget.nodes - start >= FORK_AFTER:
+            from . import forked
 
-    def run(job):
-        """Explore one piece under a fresh count of at most ``cap`` nodes:
-        (nodes, table or None, whether the count stopped it)."""
-        identity, conn, path, cap = job
-        if not held or (held[0].identity, held[0].conn) != (identity, conn):
-            held[:] = [make(identity, conn)]
-            held[0].prefill_identity()
-        solver = held[0]
-        solver.budget = budget.fresh(cap)
-        solver.replay(path)
-        try:
-            table = solver.search()
-        except BudgetExceededError:
-            return solver.budget.nodes, None, True
-        finally:
-            solver.undo_to(0)
-        return solver.budget.nodes, table, False
+            cpus = forked.usable_cpus()
+            if cpus > 1 and forked.may_fork():
+                jobs = (((lead, s.conn), (s.identity, s.conn, path,
+                                          budget.max_nodes - budget.nodes))
+                        for s, lead, path in itertools.chain([piece], pieces))
+                yield from forked.ordered(lambda job: _run_piece(make, *job),
+                                          jobs, cpus)
+                return
+        solver, lead, path = piece
+        cap = budget.max_nodes - budget.nodes
+        yield (lead, solver.conn), True, _explore(solver, path, cap)
 
-    return forked.Workers(run, cpus)
+
+def _explore(solver: _TableSolver, path, cap: int):
+    """Search the piece whose root ``solver`` stands at, under a fresh
+    count of at most ``cap`` nodes: (nodes, table or None, whether the
+    count stopped it).  A None ``path``, after a candidate's last piece,
+    holds no node."""
+    if path is None:
+        return 0, None, False
+    solver.budget = solver.budget.fresh(cap)
+    try:
+        table = solver.search()
+    except BudgetExceededError:
+        return solver.budget.nodes, None, True
+    return solver.budget.nodes, table, False
+
+
+def _run_piece(make, identity, conn, path, cap: int):
+    """A worker's job: build the candidate's solver, replay the piece's
+    path and explore the piece."""
+    solver = make(identity, conn)
+    solver.prefill_identity()
+    solver.replay(path or ())
+    return _explore(solver, path, cap)
 
 
 def recognize_monoid_digraph(
@@ -747,8 +710,11 @@ def recognize_monoid_graph(
     occurs.  ``max_connection`` restricts identity candidates to degree
     at most that bound, trading completeness for speed: an exhausted
     restricted search then certifies only that no representation exists
-    whose identity has degree within the bound.
+    whose identity has degree within the bound.  A bound below 1, which
+    would leave no candidate but a vacuous negative, is a ``ValueError``.
     """
+    if max_connection is not None and max_connection < 1:
+        raise ValueError(f"max_connection must be >= 1, got {max_connection}")
     n = g.order
     adj_sets = [frozenset(s) for s in g.neighbors()]
     degs = [len(s) for s in adj_sets]
@@ -961,8 +927,8 @@ def classify_all(
     order: int,
     mode: str,
     *,
-    max_nodes: int = 10_000_000,
-    max_seconds: Optional[float] = 60.0,
+    max_nodes: int = CENSUS_MAX_NODES,
+    max_seconds: Optional[float] = CENSUS_MAX_SECONDS,
     workers: Optional[int] = None,
 ) -> CensusReport:
     """Classify every graph of the given order up to isomorphism.
@@ -975,6 +941,7 @@ def classify_all(
     """
     if mode not in CENSUS_MODES:
         raise ValueError(f"unknown census mode: {mode}")
+    Budget(max_nodes=max_nodes, max_seconds=max_seconds)  # checks the bounds
     kind = "simple" if mode == "monoid-graph" else "digraph-outregular"
     graphs = enumerate_graphs(order, kind)
     jobs = [(g, mode, max_nodes, max_seconds) for g in graphs]

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import (MulTable, format_table, parse_table, underlying_graph,
-                      validate_table)
+from .algebra import (MulTable, cayley_arc_set, format_table, parse_table,
+                      underlying_graph, validate_table)
 from .graphs import (Digraph, GraphFormatError, SimpleGraph, format_graph,
                      parse_graph, weak_components)
 
@@ -82,12 +82,6 @@ class CayleyWitness:
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "component",
                            None if component is None else tuple(sorted(component)))
-
-
-def cayley_arc_set(table: MulTable, connection) -> frozenset:
-    """Arc set of Cay(table, connection); empty connection gives no arcs."""
-    return frozenset((s, table.rows[s][c])
-                     for s in range(table.order) for c in connection)
 
 
 def generated_submonoid(table: MulTable, connection) -> frozenset:

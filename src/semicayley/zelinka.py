@@ -105,21 +105,22 @@ def _dominates(p: OutregularProfile, cid: int, slack: int) -> bool:
                for d in p.components)
 
 
+def _dominant(p: OutregularProfile, slack: int) -> Tuple[bool, Optional[int]]:
+    for cid in range(len(p.components)):
+        if _dominates(p, cid, slack):
+            return True, cid
+    return False, None
+
+
 def decide_monoid(p: OutregularProfile) -> Tuple[bool, Optional[int]]:
     """Is some component dominant: z(D) | z(C) and l(D) <= l(C) for all D?
     Returns (answer, witnessing component id), lowest id on ties."""
-    for cid in range(len(p.components)):
-        if _dominates(p, cid, 0):
-            return True, cid
-    return False, None
+    return _dominant(p, 0)
 
 
 def decide_semigroup(p: OutregularProfile) -> Tuple[bool, Optional[int]]:
     """Same with the relaxed depth condition l(D) <= l(C) + 1."""
-    for cid in range(len(p.components)):
-        if _dominates(p, cid, 1):
-            return True, cid
-    return False, None
+    return _dominant(p, 1)
 
 
 def walk(p: OutregularProfile, x: int, k: int) -> int:

@@ -424,12 +424,33 @@ def test_cli_verify_witness_loads_no_search_module(tmp_path):
 
 
 def test_cli_recognize_loads_only_the_search(tmp_path):
+    """A search that never forks does not load ``forked`` either."""
     path = tmp_path / "c5.txt"
     path.write_text(format_graph(cycle_graph(5)))
     loaded = _loaded_in_child(_cli_in_child(
         ["recognize", "--mode", "monoid-graph", str(path)]))
     assert "recognize" in loaded
-    assert not loaded & {"multiprocessing", "embed", "trees", "zelinka"}
+    assert not loaded & {"multiprocessing", "forked", "embed", "trees",
+                         "zelinka"}
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """The parser takes its defaults from ``outcome`` and loads neither the
+    embedding nor the search to build them."""
+    import inspect
+
+    from semicayley import cli, embed, recognize
+
+    census = ["census", "3", "--mode", "monoid-graph"]
+    loaded = _loaded_in_child("from semicayley.cli import build_parser\n"
+                              f"build_parser().parse_args({census!r})\n")
+    assert not loaded & {"embed", "recognize"}
+    parser = cli.build_parser()
+    assert parser.parse_args(["embed"]).max_maps == embed.DEFAULT_MAX_MAPS
+    args = parser.parse_args(census)
+    defaults = inspect.signature(recognize.classify_all).parameters
+    assert args.max_nodes == defaults["max_nodes"].default
+    assert args.max_seconds == defaults["max_seconds"].default
 
 
 def test_cli_embed_and_gen_threshold_load_no_search(tmp_path):

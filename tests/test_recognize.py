@@ -790,6 +790,17 @@ def test_forked_time_budget_stops_at_the_first_poll(forking):
     assert_no_child_left()
 
 
+def test_a_spent_budget_passed_again_stops_at_once(forking, monkeypatch):
+    def run():
+        budget = Budget(max_nodes=10)
+        return [recognize_monoid_graph(gen_K4_Cl(5), budget).nodes
+                for _ in range(2)]
+
+    serial, parallel = _serial_and_forked(monkeypatch, run)
+    assert serial == parallel == [11, 11]
+    assert_no_child_left()
+
+
 def test_forked_witness_found_early_leaves_no_worker(forking):
     out = recognize_monoid_graph(cycle_graph(7), fresh_budget())
     assert out.is_witness and witness_ok(out.witness, cycle_graph(7))

@@ -333,6 +333,38 @@ def test_cli_refuses_a_digraph_where_a_graph_is_needed(argv, monkeypatch, capsys
     assert err == "error: this subcommand needs an undirected graph\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["recognize", "--mode", "monoid-graph", "--max-nodes", "-1"],
+     "node budget must be >= 0, got -1"),
+    (["recognize", "--mode", "monoid-graph", "--max-seconds", "-0.5"],
+     "time budget must be >= 0 seconds, got -0.5"),
+    (["census", "3", "--mode", "monoid-graph", "--max-nodes", "-1"],
+     "node budget must be >= 0, got -1"),
+    (["recognize", "--mode", "monoid-graph", "--max-connection", "0"],
+     "max_connection must be >= 1, got 0"),
+    (["embed", "--max-maps", "0"], "max_maps must be >= 1, got 0"),
+], ids=["recognize-nodes", "recognize-seconds", "census-nodes",
+        "max-connection", "max-maps"])
+def test_cli_out_of_range_bounds_are_input_errors(argv, message, monkeypatch,
+                                                  capsys):
+    """The path 0-1-2 is a monoid graph, so a zero --max-connection would
+    give a vacuous negative; each bound is refused before any search."""
+    code, out, err = run_cli(argv, "3 undirected\n0 1\n1 2\n", monkeypatch,
+                             capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_cli_smallest_bounds_are_accepted(monkeypatch, capsys):
+    graph = "3 undirected\n0 1\n1 2\n"
+    code, out, _ = run_cli(["recognize", "--mode", "monoid-graph",
+                            "--max-nodes", "0"], graph, monkeypatch, capsys)
+    assert (code, out) == (2, "status: budget-exceeded\nnodes: 1\n")
+    code, out, _ = run_cli(["recognize", "--mode", "monoid-graph",
+                            "--max-connection", "1"], graph, monkeypatch, capsys)
+    assert code == 0 and out.startswith("status: witness\nnodes: 8\n"
+                                        "scope: identities of degree <= 1\n")
+
+
 def test_cli_recognize_time_budget_exit_two(monkeypatch, capsys):
     from semicayley.families import gen_K4_Cl
 
