@@ -378,7 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classify all graphs of one order up to isomorphism")
     q.add_argument("order", type=int)
     q.add_argument("--mode", required=True, choices=CENSUS_MODES)
-    q.add_argument("--workers", type=int, default=None)
+    q.add_argument("--workers", type=int, default=None,
+                   help="classify on this many forked workers, from 1 (in "
+                        "process) to the CPUs the process may use (default: "
+                        "all of those CPUs)")
     q.add_argument("--max-nodes", type=int, default=CENSUS_MAX_NODES)
     q.add_argument("--max-seconds", type=float, default=CENSUS_MAX_SECONDS)
     q.set_defaults(func=_cmd_census)

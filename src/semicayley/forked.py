@@ -1,12 +1,12 @@
 """Worker processes made with ``os.fork`` and pipes.
 
-A long table search and a census run with workers hand their jobs to
-children of the calling process through ``ordered``, which yields the
-answers in job order.  A child inherits, by the fork, the function that
-runs a job and everything that function reads; only the jobs and their
-results cross the pipes, pickled.  A child never forks again, and a
-process with more than one Python thread never forks: a child forked
-while another thread holds a lock can deadlock on it.
+A long table search and a census hand their jobs to children of the
+calling process through ``ordered``, which yields the answers in job
+order.  A child inherits, by the fork, the function that runs a job and
+everything that function reads; only the jobs and their results cross
+the pipes, pickled.  A child never forks again, and a process with more
+than one Python thread never forks: a child forked while another thread
+holds a lock can deadlock on it.
 """
 
 from __future__ import annotations
@@ -90,8 +90,10 @@ class Workers:
     ``submit`` hands a job to an idle child under a tag other than None;
     the caller keeps count of the idle ones.  ``wait`` blocks until at
     least one child has answered and returns ``(tag, ok, value)`` per
-    answer: ``run``'s return value, or the exception it raised.  ``close``
-    kills every child and reaps it.
+    answer: ``run``'s return value, or the exception it raised.  A child
+    that ends without answering is reaped, and its job's answer is
+    ``(tag, None, RuntimeError)``.  ``close`` kills every child and reaps
+    it.
     """
 
     def __init__(self, run: Callable, count: int):
@@ -143,28 +145,35 @@ class Workers:
             try:
                 ok, value = _recv(fd)
             except EOFError:
-                raise RuntimeError(f"worker process {child[0]} ended "
-                                   "without answering") from None
+                self._end(fd)
+                error = RuntimeError(
+                    f"worker process {child[0]} ended without answering")
+                if child[2] is None:
+                    raise error from None
+                ok, value = None, error
             answers.append((child[2], ok, value))
             child[2] = None
         return answers
 
-    def close(self) -> None:
+    def _end(self, fd: int) -> None:
+        """Kill the child that answers on ``fd`` and reap it."""
         import signal
 
-        children, self._children = self._children, {}
-        for pid, _, _ in children.values():
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-        for fd, (pid, job_fd, _) in children.items():
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass
-            os.close(fd)
-            os.close(job_fd)
+        pid, job_fd, _ = self._children.pop(fd)
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
+        os.close(fd)
+        os.close(job_fd)
+
+    def close(self) -> None:
+        for fd in list(self._children):
+            self._end(fd)
 
 
 def ordered(run: Callable, jobs: Iterable, count: int) -> Iterator:
@@ -175,8 +184,11 @@ def ordered(run: Callable, jobs: Iterable, count: int) -> Iterator:
     A job is drawn from ``jobs`` only when a worker is idle, and only
     after every answer ready in order has been yielded, so at most
     ``count`` drawn jobs are unanswered at a time; answers that arrive
-    before an earlier one wait for it.  Closing the generator, or leaving
-    it on an exception, kills and reaps every worker.
+    before an earlier one wait for it.  A worker that ends without
+    answering ends the stream with ``RuntimeError`` in its job's place,
+    after the answers before it; no job is drawn after it ends.  Closing
+    the generator, or leaving it on an exception, kills and reaps every
+    worker.
     """
     workers = Workers(run, count)
     try:
@@ -186,6 +198,8 @@ def ordered(run: Callable, jobs: Iterable, count: int) -> Iterator:
         while True:
             while pending and pending[0][1] is not None:
                 tag, (ok, value) = pending.popleft()
+                if ok is None:
+                    raise value
                 yield tag, ok, value
             for tag, job in itertools.islice(jobs, count - running):
                 pending.append([tag, None])
@@ -196,6 +210,8 @@ def ordered(run: Callable, jobs: Iterable, count: int) -> Iterator:
             for entry, ok, value in workers.wait():
                 entry[1] = (ok, value)
                 running -= 1
+                if ok is None:
+                    jobs = iter(())
     finally:
         workers.close()
 

@@ -936,20 +936,27 @@ def classify_all(
     Digraph modes run over all outregular digraphs (every outdegree
     equal, including the edgeless case); the undirected mode runs over
     all simple graphs.  Each instance gets a fresh budget so one hard
-    instance cannot starve the rest.  ``workers`` > 1 classifies on that
-    many forked workers (see ``forked``), whose searches stay serial.
+    instance cannot starve the rest.  The classes are classified on
+    ``workers`` forked workers (see ``forked``), by default one per CPU
+    this process may use, and come back in enumeration order; a worker's
+    searches stay serial.  One worker, one class, one usable CPU, or a
+    process that may not fork (a worker itself, or one running a second
+    Python thread) classifies in process.
     """
     if mode not in CENSUS_MODES:
         raise ValueError(f"unknown census mode: {mode}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     Budget(max_nodes=max_nodes, max_seconds=max_seconds)  # checks the bounds
     kind = "simple" if mode == "monoid-graph" else "digraph-outregular"
     graphs = enumerate_graphs(order, kind)
     jobs = [(g, mode, max_nodes, max_seconds) for g in graphs]
-    if workers and workers > 1:
-        from . import forked
+    from . import forked
 
-        if forked.may_fork():
-            entries = forked.run_all(_run_census_instance, jobs, workers)
-            return CensusReport(order, mode, entries)
-    entries = [_run_census_instance(job) for job in jobs]
+    count = min(forked.usable_cpus() if workers is None else workers,
+                len(jobs))
+    if count > 1 and forked.may_fork():
+        entries = forked.run_all(_run_census_instance, jobs, count)
+    else:
+        entries = [_run_census_instance(job) for job in jobs]
     return CensusReport(order, mode, entries)

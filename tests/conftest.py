@@ -6,8 +6,23 @@ import itertools
 import os
 from pathlib import Path
 
+import pytest
+
 import semicayley
 from semicayley import Digraph, SimpleGraph
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test reaps each process it starts: a census forks by default,
+    and a worker left behind would outlive the suite."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("a child process was left behind: "
+                + (f"pid {pid} had ended unreaped" if pid else "one still runs"))
 
 
 def cycle_graph(n: int) -> SimpleGraph:

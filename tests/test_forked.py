@@ -102,3 +102,29 @@ def test_a_worker_that_dies_ends_the_stream_and_leaves_no_child():
             seen.append(value)
     assert seen == [0, 1]
     assert_no_child_left()
+
+
+def test_a_worker_that_dies_before_an_earlier_answer_waits_for_it():
+    """Job 2's worker dies while job 1 is still running: job 1's answer
+    still comes first, then the error, and job 3 is never drawn."""
+    drawn = []
+
+    def jobs():
+        for i in range(4):
+            drawn.append(i)
+            yield i, i
+
+    def run(x):
+        if x == 1:
+            time.sleep(0.3)
+        if x == 2:
+            os._exit(3)
+        return x
+
+    seen = []
+    with pytest.raises(RuntimeError, match="ended without answering"):
+        for tag, ok, value in forked.ordered(run, jobs(), 2):
+            seen.append(value)
+    assert seen == [0, 1]
+    assert drawn == [0, 1, 2]
+    assert_no_child_left()

@@ -451,6 +451,7 @@ def test_cli_defaults_are_the_library_defaults():
     defaults = inspect.signature(recognize.classify_all).parameters
     assert args.max_nodes == defaults["max_nodes"].default
     assert args.max_seconds == defaults["max_seconds"].default
+    assert args.workers == defaults["workers"].default
 
 
 def test_cli_embed_and_gen_threshold_load_no_search(tmp_path):

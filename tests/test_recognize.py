@@ -115,7 +115,7 @@ def test_census_lines_format():
 
 
 def test_census_parallel_matches_serial():
-    serial = classify_all(3, "semigroup-digraph")
+    serial = classify_all(3, "semigroup-digraph", workers=1)
     parallel = classify_all(3, "semigroup-digraph", workers=2)
     assert sorted(serial.lines()) == sorted(parallel.lines())
 
@@ -763,12 +763,75 @@ def test_forked_search_matches_serial_on_order_5(forking, monkeypatch, options):
 def test_forked_order_4_digraph_census_matches_serial(forking, monkeypatch, mode):
     def run():
         return [(entry.key, _answer(entry.outcome))
-                for entry in classify_all(4, mode).entries]
+                for entry in classify_all(4, mode, workers=1).entries]
 
     serial, parallel = _serial_and_forked(monkeypatch, run)
     assert parallel == serial
     assert forking
     assert_no_child_left()
+
+
+def _census(order, mode, **options):
+    report = classify_all(order, mode, **options)
+    return (report.order, report.mode,
+            [(entry.key, _answer(entry.outcome)) for entry in report.entries])
+
+
+@pytest.mark.parametrize("mode, orders", [
+    ("monoid-digraph", range(1, 5)), ("semigroup-digraph", range(1, 5)),
+    ("monoid-graph", range(1, 6))])
+def test_default_census_matches_the_census_in_process(monkeypatch, mode,
+                                                      orders):
+    """Keys, entry order, statuses, nodes and witness rows are those of
+    ``workers=1``; the default forks one worker per usable CPU."""
+    started = _two_cpus_counting_forks(monkeypatch)
+    for order in orders:
+        serial = _census(order, mode, workers=1)
+        assert not started
+        assert _census(order, mode) == serial, order
+        assert len(started) == (2 if len(serial[2]) > 1 else 0)
+        started.clear()
+        assert_no_child_left()
+
+
+def test_default_census_forks_one_worker_per_usable_cpu(monkeypatch):
+    """No fork with one usable CPU, with one class, or beside a second
+    Python thread."""
+    import threading
+
+    started = _two_cpus_counting_forks(monkeypatch)
+    classify_all(3, "monoid-graph")
+    assert len(started) == 2 and all(started)
+    assert_no_child_left()
+    started.clear()
+    classify_all(1, "monoid-graph")
+    assert not started
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
+    assert len(classify_all(3, "monoid-graph").entries) == 4
+    assert not started
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert len(classify_all(3, "monoid-graph").entries) == 4
+        assert not started
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_census_workers_below_one_is_an_input_error(monkeypatch, workers):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before checking workers")
+
+    monkeypatch.setattr(recognize_module, "enumerate_graphs", no_enumeration)
+    with pytest.raises(ValueError, match=f"workers must be at least 1, "
+                                         f"got {workers}"):
+        classify_all(3, "monoid-graph", workers=workers)
 
 
 @pytest.mark.parametrize("max_seconds", [None, 600.0])

@@ -24,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import child_env, cycle_graph, functional_digraph, looped_to_zero
+from conftest import (child_env, cycle_graph, functional_digraph,
+                      looped_to_zero, path_graph)
 from semicayley import (
     Digraph,
     MulTable,
@@ -620,6 +621,52 @@ def test_cli_recognize_deep_search(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout.startswith("status: witness\n")
+
+
+def _cli_child(argv, cwd):
+    return subprocess.run([sys.executable, "-m", "semicayley.cli", *argv],
+                          capture_output=True, text=True, env=child_env(),
+                          cwd=cwd, timeout=60)
+
+
+@pytest.fixture
+def order_40_inputs(tmp_path):
+    """The directed 40-cycle and the 40-vertex path, as files."""
+    cycle = Digraph(40, [(i, (i + 1) % 40) for i in range(40)])
+    (tmp_path / "c40.txt").write_text(format_graph(cycle))
+    (tmp_path / "p40.txt").write_text(format_graph(path_graph(40)))
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["check-zelinka", "c40.txt"], "monoid: yes dominant-component 0"),
+    (["construct-zelinka", "--mode", "monoid", "c40.txt"], "cayley-witness"),
+    (["embed", "c40.txt"], "cayley-witness"),
+    (["recognize", "--mode", "monoid-graph", "p40.txt"], "status: witness"),
+    (["tree-classify", "p40.txt"], "verdict: yes"),
+], ids=["check-zelinka", "construct-zelinka", "embed", "recognize",
+        "tree-classify"])
+def test_cli_order_40_smoke(order_40_inputs, argv, first_line):
+    proc = _cli_child(argv, order_40_inputs)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[0] == first_line
+
+
+def test_cli_order_40_record_verifies_and_invariants_refuses(order_40_inputs):
+    proc = _cli_child(["recognize", "--mode", "monoid-graph", "p40.txt"],
+                      order_40_inputs)
+    assert proc.stdout.startswith("status: witness\nnodes: 8470\n")
+    record = order_40_inputs / "p40.rec"
+    record.write_text(proc.stdout[proc.stdout.index("cayley-witness"):])
+    proc = _cli_child(["verify-witness", "p40.rec"], order_40_inputs)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    checks = proc.stdout.splitlines()
+    assert checks and all(line.endswith(": true") for line in checks), checks
+    proc = _cli_child(["invariants", "p40.txt"], order_40_inputs)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: invariants accepts orders up to 20, got 40\n"
 
 
 @pytest.mark.skipif(shutil.which("semicayley") is None,
