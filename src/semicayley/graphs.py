@@ -59,12 +59,6 @@ class Digraph:
             out[u].add(v)
         return out
 
-    def in_neighbors(self) -> list:
-        inn = [set() for _ in range(self.order)]
-        for u, v in self.arcs:
-            inn[v].add(u)
-        return inn
-
     def out_degrees(self) -> list:
         deg = [0] * self.order
         for u, _ in self.arcs:
@@ -220,25 +214,28 @@ def weak_components(g: Graph) -> ComponentDecomposition:
     return ComponentDecomposition(tuple(comp), count)
 
 
-def _reach(n: int, adj: list, start: int) -> set:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+def _reaches_all(masks: list) -> bool:
+    """Whether vertex 0 reaches every vertex along ``masks``, the
+    neighbour bitmask of each vertex."""
+    seen = frontier = 1
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            step |= masks[low.bit_length() - 1]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen == (1 << len(masks)) - 1
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    n = g.order
-    if n == 1:
-        return True
-    out = [list(s) for s in g.out_neighbors()]
-    inn = [list(s) for s in g.in_neighbors()]
-    return len(_reach(n, out, 0)) == n and len(_reach(n, inn, 0)) == n
+    out = [0] * g.order
+    inn = [0] * g.order
+    for u, v in g.arcs:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    return _reaches_all(out) and _reaches_all(inn)
 
 
 class _MaxFlow:

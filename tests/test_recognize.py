@@ -10,6 +10,7 @@ left-multiplication search in ``sabidussi_check``.
 from __future__ import annotations
 
 import copy
+import hashlib
 import itertools
 import os
 import subprocess
@@ -317,6 +318,118 @@ def test_sabidussi_totals_frozen_up_to_order_4():
                 witnesses += 1
                 assert witness_ok(out.witness, g)
     assert (nodes, witnesses) == (155079, 171)
+
+
+# frozen: per monoid route, sha256 over every order-1..4 digraph class's
+# answer, written as in test_crosscheck_4_answers_frozen_per_class
+CROSSCHECK_4_DIGESTS = {
+    "sabidussi_check":
+        "fc638d219f8e1c7e30a45cdd48f41963c287963172ed38db0b300575fc047287",
+    "recognize_monoid_digraph":
+        "5369455636f0c8430c318c46dd11db4ea7816177b64a45cf3dfa4be790dcdc1a",
+}
+
+
+def test_crosscheck_4_answers_frozen_per_class():
+    """Each class's status, node count, table rows and connection set,
+    on both routes, not only their totals."""
+    digraphs = [g for n in range(1, 5) for g in enumerate_graphs(n, "digraph-all")]
+    assert len(digraphs) == 3160
+    for route, totals in ((sabidussi_check, (155079, 171)),
+                          (recognize_monoid_digraph, (7493, 171))):
+        digest = hashlib.sha256()
+        nodes = witnesses = 0
+        for g in digraphs:
+            out = route(g, fresh_budget())
+            w = out.witness
+            answer = (out.status, out.nodes, None if w is None
+                      else (w.table.rows, tuple(sorted(w.connection))))
+            digest.update(repr(answer).encode())
+            nodes += out.nodes
+            witnesses += out.is_witness
+        assert (nodes, witnesses) == totals, route.__name__
+        assert digest.hexdigest() == CROSSCHECK_4_DIGESTS[route.__name__]
+
+
+def _loop_rule_drops(out_sets, e) -> bool:
+    """A looped identity candidate beside a loopless vertex."""
+    return e in out_sets[e] and any(x not in s for x, s in enumerate(out_sets))
+
+
+def _check_loop_rule_against_prefill(g: Digraph):
+    """(candidates, dropped) over ``g``'s maximum-outdegree identity
+    candidates, after checking that the loop rule drops a candidate
+    exactly when ``prefill_identity`` on a fresh solver fails."""
+    out_sets = [frozenset(s) for s in g.out_neighbors()]
+    dmax = max(map(len, out_sets))
+    graph = _GraphTables(out_sets, True)
+    injective = is_strongly_connected(g)
+    candidates = dropped = 0
+    for e, s in enumerate(out_sets):
+        if len(s) != dmax:
+            continue
+        solver = _TableSolver(graph, s, fresh_budget(), identity=e,
+                              injective_rows=injective)
+        passes = solver.prefill_identity()
+        assert passes != _loop_rule_drops(out_sets, e), (sorted(g.arcs), e)
+        candidates += 1
+        dropped += not passes
+    return candidates, dropped
+
+
+def test_loop_rule_drops_exactly_the_failing_prefills_to_order_4():
+    """Every candidate is checked; those of digraphs without a sink are
+    the ones the table search builds a solver for."""
+    totals = {True: [0, 0], False: [0, 0]}
+    for n in range(1, 5):
+        for g in enumerate_graphs(n, "digraph-all"):
+            counts = totals[all(g.out_neighbors())]
+            for i, k in enumerate(_check_loop_rule_against_prefill(g)):
+                counts[i] += k
+    assert totals == {True: [4022, 2407], False: [1120, 731]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_loop_rule_drops_exactly_the_failing_prefills_at_orders_5_and_6(data):
+    n = data.draw(st.integers(5, 6))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    loops = data.draw(st.sets(st.integers(0, n - 1)))
+    _check_loop_rule_against_prefill(
+        Digraph(n, data.draw(st.sets(pairs)) | {(x, x) for x in loops}))
+
+
+def test_no_candidate_left_is_answered_before_any_table(monkeypatch):
+    """Only vertex 0 has the maximum outdegree, and it has a loop that
+    vertex 2 lacks."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built a table for a dropped candidate")
+
+    for name in ("_GraphTables", "_TableSolver", "is_strongly_connected"):
+        monkeypatch.setattr(recognize_module, name, unbuilt)
+    g = Digraph(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0)])
+    out = recognize_monoid_digraph(g, fresh_budget())
+    assert (out.status, out.nodes) == ("exhausted-no", 0)
+
+
+def test_sabidussi_skips_only_identities_with_an_empty_candidate_list():
+    """Below the maximum outdegree, some x has no endomorphism phi with
+    phi(e) = x and N+(x) inside phi(N+(e)), so skipping e loses nothing."""
+    skipped = pairs = 0
+    for n in range(1, 5):
+        for g in enumerate_graphs(n, "digraph-all"):
+            out = g.out_neighbors()
+            dmax = max(map(len, out))
+            endos = endomorphisms(g)
+            for e in range(n):
+                pairs += 1
+                if len(out[e]) == dmax:
+                    continue
+                skipped += 1
+                served = {phi[e] for phi in endos
+                          if out[phi[e]] <= {phi[c] for c in out[e]}}
+                assert len(served) < n, (sorted(g.arcs), e)
+    assert (skipped, pairs) == (7368, 12510)
 
 
 @pytest.mark.parametrize("g, status, full", [
