@@ -54,9 +54,6 @@ class MulTable:
         object.__setattr__(self, "rows", norm)
         object.__setattr__(self, "identity", identity)
 
-    def product(self, a: int, b: int) -> int:
-        return self.rows[a][b]
-
 
 @dataclass(frozen=True)
 class TableViolation:

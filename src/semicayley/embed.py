@@ -6,6 +6,12 @@ the family under composition, and glue the vertex set to the resulting
 transformation monoid with the four-case product below.  The undirected
 variant first orients the graph with max outdegree equal to its
 pseudoarboricity, patching sinks with reverse arcs.
+
+The carrier, the n vertices plus the closure's maps, has at most
+``MAX_CARRIER_ORDER`` elements: the closure stops at ``min(max_maps,
+MAX_CARRIER_ORDER - n)`` maps with a ``BudgetExceededError``.  That
+bound is below 1, a ``ValueError``, when ``max_maps < 1`` or
+``n >= MAX_CARRIER_ORDER``.
 """
 
 from __future__ import annotations
@@ -28,8 +34,6 @@ __all__ = [
     "embed_monoid",
     "embed_undirected",
 ]
-
-DEFAULT_MAX_ORDER = MAX_CARRIER_ORDER
 
 
 @dataclass(frozen=True)
@@ -128,16 +132,13 @@ def closure(fam: FunctionFamily, max_maps: int = DEFAULT_MAX_MAPS) -> tuple:
 
 
 def _embed(target: Digraph, fam: FunctionFamily, carrier: str, claim,
-           max_order: int, max_maps: int) -> CayleyWitness:
+           max_maps: int) -> CayleyWitness:
     viol = family_violation(fam, target)
     if viol is not None:
         raise ValueError(f"family invariant violated: {viol}")
-    maps = closure(fam, max_maps)
     n = target.order
+    maps = closure(fam, min(max_maps, MAX_CARRIER_ORDER - n))
     total = n + len(maps)
-    if total > max_order:
-        raise BudgetExceededError(
-            f"carrier would have {total} elements > cap {max_order}")
     index = {m: n + i for i, m in enumerate(maps)}
 
     rows = []
@@ -162,15 +163,13 @@ def _embed(target: Digraph, fam: FunctionFamily, carrier: str, claim,
 
 
 def embed_monoid(g: Digraph, fam: FunctionFamily,
-                 max_order: int = DEFAULT_MAX_ORDER,
                  max_maps: int = DEFAULT_MAX_MAPS) -> CayleyWitness:
     """Monoid witness whose Cayley digraph minus the identity's component
     equals g exactly; connection set = the family maps."""
-    return _embed(g, fam, "directed", g, max_order, max_maps)
+    return _embed(g, fam, "directed", g, max_maps)
 
 
 def embed_undirected(g: SimpleGraph,
-                     max_order: int = DEFAULT_MAX_ORDER,
                      max_maps: int = DEFAULT_MAX_MAPS) -> CayleyWitness:
     """Monoid witness for a graph via a pseudoarboricity-optimal
     orientation; |C| equals the pseudoarboricity.
@@ -192,4 +191,4 @@ def embed_undirected(g: SimpleGraph,
             arcs.add((v, u))
     fixed = Digraph(g.order, arcs)
     fam = greedy_cover(fixed, k)
-    return _embed(fixed, fam, "undirected", g, max_order, max_maps)
+    return _embed(fixed, fam, "undirected", g, max_maps)

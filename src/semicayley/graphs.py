@@ -190,34 +190,23 @@ class ComponentDecomposition:
         return [v for v, c in enumerate(self.component) if c == i]
 
 
-def weak_components(g: Graph) -> ComponentDecomposition:
-    n = g.order
-    adj = [set() for _ in range(n)]
-    pairs = g.arcs if isinstance(g, Digraph) else g.edges
-    for u, v in pairs:
-        adj[u].add(v)
-        adj[v].add(u)
-    comp = [-1] * n
-    count = 0
-    for start in range(n):
-        if comp[start] != -1:
-            continue
-        comp[start] = count
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if comp[w] == -1:
-                    comp[w] = count
-                    queue.append(w)
-        count += 1
-    return ComponentDecomposition(tuple(comp), count)
+def _masks(g: Graph) -> tuple:
+    """Out- and in-neighbour bitmasks of every vertex: bit v of ``out[u]``
+    and bit u of ``inn[v]`` stand for the arc u -> v.  A simple graph's
+    edges run both ways, so it gets one list twice."""
+    simple = isinstance(g, SimpleGraph)
+    out = [0] * g.order
+    inn = out if simple else [0] * g.order
+    for u, v in g.edges if simple else g.arcs:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    return out, inn
 
 
-def _reaches_all(masks: list) -> bool:
-    """Whether vertex 0 reaches every vertex along ``masks``, the
-    neighbour bitmask of each vertex."""
-    seen = frontier = 1
+def _reach(masks: list, seen: int) -> int:
+    """The vertices reachable from the vertex bitmask ``seen`` along
+    ``masks``, the neighbour bitmask of each vertex."""
+    frontier = seen
     while frontier:
         step = 0
         while frontier:
@@ -226,16 +215,30 @@ def _reaches_all(masks: list) -> bool:
             step |= masks[low.bit_length() - 1]
         frontier = step & ~seen
         seen |= frontier
-    return seen == (1 << len(masks)) - 1
+    return seen
+
+
+def weak_components(g: Graph) -> ComponentDecomposition:
+    out, inn = _masks(g)
+    both = [o | i for o, i in zip(out, inn)]
+    comp = [-1] * g.order
+    count = 0
+    left = (1 << g.order) - 1
+    while left:
+        members = _reach(both, left & -left)
+        left ^= members
+        while members:
+            low = members & -members
+            members ^= low
+            comp[low.bit_length() - 1] = count
+        count += 1
+    return ComponentDecomposition(tuple(comp), count)
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    out = [0] * g.order
-    inn = [0] * g.order
-    for u, v in g.arcs:
-        out[u] |= 1 << v
-        inn[v] |= 1 << u
-    return _reaches_all(out) and _reaches_all(inn)
+    out, inn = _masks(g)
+    full = (1 << g.order) - 1
+    return _reach(out, 1) == full and _reach(inn, 1) == full
 
 
 class _MaxFlow:
@@ -261,42 +264,53 @@ class _MaxFlow:
                     queue.append(e[0])
         return self.level[t] != -1
 
-    def _dfs(self, u: int, t: int, f: int) -> int:
-        if u == t:
-            return f
-        while self.it[u] < len(self.graph[u]):
-            e = self.graph[u][self.it[u]]
-            if e[1] > 0 and self.level[e[0]] == self.level[u] + 1:
-                d = self._dfs(e[0], t, min(f, e[1]))
-                if d > 0:
-                    e[1] -= d
-                    self.graph[e[0]][e[2]][1] += d
-                    return d
-            self.it[u] += 1
-        return 0
+    def _augment(self, s: int, t: int, f: int) -> int:
+        """Push up to f units along one s -> t path of the level graph:
+        Dinic's depth-first search, on an explicit stack so that a deep
+        level graph cannot exhaust the recursion limit."""
+        path = []                   # (tail, edge) from s to u
+        u = s
+        while u != t:
+            edges = self.graph[u]
+            i = self.it[u]
+            nxt = self.level[u] + 1
+            while i < len(edges) and not (edges[i][1] > 0
+                                          and self.level[edges[i][0]] == nxt):
+                i += 1
+            self.it[u] = i
+            if i < len(edges):
+                path.append((u, edges[i]))
+                u = edges[i][0]
+            elif path:
+                u = path.pop()[0]
+                self.it[u] += 1
+            else:
+                return 0
+        d = min([f] + [e[1] for _, e in path])
+        for _, e in path:
+            e[1] -= d
+            self.graph[e[0]][e[2]][1] += d
+        return d
 
     def max_flow(self, s: int, t: int, limit: int = 1 << 30) -> int:
         flow = 0
         while flow < limit and self._bfs(s, t):
             self.it = [0] * self.n
             while flow < limit:
-                f = self._dfs(s, t, limit - flow)
+                f = self._augment(s, t, limit - flow)
                 if f == 0:
                     break
                 flow += f
         return flow
 
-    def source_side(self, s: int) -> set:
-        """Vertices reachable from s in the residual network."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.graph[u]:
-                if e[1] > 0 and e[0] not in seen:
-                    seen.add(e[0])
-                    queue.append(e[0])
-        return seen
+    def source_side(self, s: int) -> int:
+        """Bitmask of the vertices reachable from s in the residual network."""
+        masks = [0] * self.n
+        for u, edges in enumerate(self.graph):
+            for e in edges:
+                if e[1] > 0:
+                    masks[u] |= 1 << e[0]
+        return _reach(masks, 1 << s)
 
 
 def _split_flow(n: int, arcs, u: int, v: int) -> int:
@@ -311,62 +325,44 @@ def _split_flow(n: int, arcs, u: int, v: int) -> int:
     return mf.max_flow(2 * u + 1, 2 * v, limit=n)
 
 
+def _min_vertex_cut(n: int, arcs, pairs) -> int:
+    """Least number of internally vertex-disjoint paths over the
+    (source, target) ``pairs``, and n - 1 when there are none."""
+    if n < 2:
+        raise ValueError("connectivity needs order >= 2")
+    best = n - 1
+    for u, v in pairs:
+        best = min(best, _split_flow(n, arcs, u, v))
+        if best == 0:
+            return 0
+    return best
+
+
 def strong_connectivity(g: Digraph) -> int:
     """Largest kappa with every directed vertex cut of size >= kappa and
     kappa + 1 <= order.  Computed by min vertex cut over non-arc pairs."""
     n = g.order
-    if n < 2:
-        raise ValueError("strong connectivity needs order >= 2")
     if not is_strongly_connected(g):
         raise ValueError("digraph is not strongly connected")
-    best = n - 1
-    for u in range(n):
-        for v in range(n):
-            if u == v or (u, v) in g.arcs:
-                continue
-            best = min(best, _split_flow(n, g.arcs, u, v))
-            if best == 0:
-                return 0
-    return best
+    return _min_vertex_cut(n, g.arcs, [
+        (u, v) for u in range(n) for v in range(n)
+        if u != v and (u, v) not in g.arcs])
 
 
 def vertex_connectivity(g: SimpleGraph) -> int:
+    """Min vertex cut over non-adjacent pairs: 0 when disconnected, since
+    some such pair lies in two components, and n - 1 for K_n."""
     n = g.order
-    if n < 2:
-        raise ValueError("vertex connectivity needs order >= 2")
-    if len(g.edges) == n * (n - 1) // 2:
-        return n - 1
-    if weak_components(g).count > 1:
-        return 0
     arcs = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
-    arcset = set(arcs)
-    best = n - 1
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) in arcset:
-                continue
-            best = min(best, _split_flow(n, arcs, u, v))
-            if best == 0:
-                return 0
-    return best
+    return _min_vertex_cut(n, arcs, [
+        pair for pair in itertools.combinations(range(n), 2)
+        if pair not in g.edges])
 
 
 # ---------------------------------------------------------------------------
 # canonical forms: the least row-major adjacency matrix over vertex orders
 
 _CANON_CAP = 10
-
-
-def _adjacency(g: Graph) -> list:
-    """Adjacency rows as ints.  Column j of a row is bit ``order-1-j``, so a
-    row's value is its bit string read from column 0."""
-    top = g.order - 1
-    rows = [0] * g.order
-    pairs = (g.arcs if isinstance(g, Digraph)
-             else g.edges | {(v, u) for u, v in g.edges})
-    for u, v in pairs:
-        rows[u] |= 1 << (top - v)
-    return rows
 
 
 def _min_packed(rows) -> bytes:
@@ -468,7 +464,9 @@ def canonical_form(g: Graph) -> bytes:
     if g.order > _CANON_CAP:
         raise ValueError(f"canonical_form capped at order {_CANON_CAP}")
     kind = b"D" if isinstance(g, Digraph) else b"U"
-    return bytes([g.order]) + kind + _min_packed(_adjacency(g))
+    # reversed, the out-masks are the rows of g relabelled by v -> n-1-v
+    # with column j at bit n-1-j, the layout ``_min_packed`` reads
+    return bytes([g.order]) + kind + _min_packed(_masks(g)[0][::-1])
 
 
 def _least_labellings(n: int, mode: str) -> list:

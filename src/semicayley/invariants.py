@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import Digraph, SimpleGraph, _MaxFlow
+from .graphs import Digraph, SimpleGraph, _masks, _MaxFlow
 
 __all__ = [
     "arboricity",
@@ -45,10 +45,7 @@ def arboricity(g: SimpleGraph) -> int:
     n = g.order
     if n > _SUBSET_CAP:
         raise ValueError(f"exhaustive subset scan capped at order {_SUBSET_CAP}")
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _masks(g)[0]
     best = 0
     for mask in range(1, 1 << n):
         size = mask.bit_count()
@@ -103,7 +100,7 @@ def orientation_with_outdegree(g: SimpleGraph, k: int) -> Digraph:
     m = len(edges)
     if flow < m:
         side = mf.source_side(0)
-        subset = tuple(v for v in range(n) if 2 + m + v in side)
+        subset = tuple(v for v in range(n) if side >> (2 + m + v) & 1)
         inside = set(subset)
         count = sum(1 for u, v in edges if u in inside and v in inside)
         raise OrientationInfeasible(k, subset, count)
@@ -138,11 +135,7 @@ def independence_number(g: SimpleGraph) -> int:
     n = g.order
     if n > _MIS_CAP:
         raise ValueError(f"independence_number capped at order {_MIS_CAP}")
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return _mis_masked(adj, (1 << n) - 1)
+    return _mis_masked(_masks(g)[0], (1 << n) - 1)
 
 
 def _mis_masked(adj: list, mask: int) -> int:
@@ -307,10 +300,7 @@ def connectivity_bound(p: SpectralProfile) -> int:
 
 
 def _has_triangle(g: SimpleGraph) -> bool:
-    adj = [0] * g.order
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _masks(g)[0]
     return any(adj[u] & adj[v] for u, v in g.edges)
 
 

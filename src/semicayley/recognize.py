@@ -33,6 +33,7 @@ from .graphs import (
     Digraph,
     Graph,
     SimpleGraph,
+    _masks,
     canonical_form,
     enumerate_graphs,
     is_strongly_connected,
@@ -754,11 +755,7 @@ def endomorphisms(g: Digraph, budget: Optional[Budget] = None) -> List[Tuple[int
     its set bits are tried in ascending order.  Small orders only.
     """
     n = g.order
-    out_mask = [0] * n
-    in_mask = [0] * n
-    for u, v in g.arcs:
-        out_mask[u] |= 1 << v
-        in_mask[v] |= 1 << u
+    out_mask, in_mask = _masks(g)
     looped = sum(1 << v for v in range(n) if out_mask[v] >> v & 1)
     start = [looped if looped >> v & 1 else (1 << n) - 1 for v in range(n)]
     earlier = [[(out_mask, u) for u in range(v) if in_mask[v] >> u & 1]
@@ -803,20 +800,21 @@ def sabidussi_check(g: Digraph, budget: Optional[Budget] = None) -> SearchOutcom
     phi's images of the out-neighbors of e.  Only identities of maximum
     outdegree reach that filter: phi(N+(e)) has at most deg e elements,
     so below it some vertex has no candidate, and the filter counts no
-    node.
+    node.  Nor does a looped e beside a loopless x: an endomorphism maps
+    a looped vertex to a looped one, so x has no candidate either.
     """
     if g.order > 8:
         raise ValueError("endomorphism search is limited to order <= 8")
     budget = budget or Budget()
     n = g.order
-    need = [0] * n
-    for u, v in g.arcs:
-        need[u] |= 1 << v
+    need = _masks(g)[0]
     dmax = max(m.bit_count() for m in need)
+    all_looped = all(need[x] >> x & 1 for x in range(n))
     try:
         endos = endomorphisms(g, budget)
         identity_map = tuple(range(n))
-        for e in [e for e in range(n) if need[e].bit_count() == dmax]:
+        for e in [e for e in range(n) if need[e].bit_count() == dmax
+                  and (all_looped or not need[e] >> e & 1)]:
             conn = [c for c in range(n) if need[e] >> c & 1]
             cands: List[List[Tuple[int, ...]]] = [[] for _ in range(n)]
             for phi in endos:

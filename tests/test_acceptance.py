@@ -204,8 +204,7 @@ def test_a7_random_sink_free_embeddings():
         g = Digraph(n, [(v, u) for v in range(n) for u in outs[v]])
         k = max(len(s) for s in outs)
         try:
-            w = embed_monoid(g, greedy_cover(g, k),
-                             max_maps=300, max_order=300)
+            w = embed_monoid(g, greedy_cover(g, k), max_maps=300 - n)
         except BudgetExceededError:
             continue
         accepted += 1

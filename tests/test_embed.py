@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from semicayley import (
     verify_witness,
 )
 from semicayley.embed import closure, family_violation
+from semicayley.outcome import MAX_CARRIER_ORDER
 
 
 def test_function_family_guards():
@@ -106,10 +108,32 @@ def test_embed_monoid_loops_and_cycles():
     _check_component_removal(w, g)
 
 
-def test_embed_monoid_order_cap():
-    g = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+def test_embed_monoid_order_cap(monkeypatch):
+    """The 40-cycle with the arc 1 -> 0 and loops at 2..39 closes to far
+    more than 4,096 maps; the closure stops once the carrier would pass
+    its cap, not at the default million maps."""
+    import semicayley.embed as embed_module
+
+    class Counted(deque):
+        stored = 0
+
+        def __init__(self, items):
+            super().__init__(items)
+            Counted.stored += len(self)
+
+        def append(self, item):
+            super().append(item)
+            Counted.stored += 1
+
+    n = 40
+    arcs = ([(v, (v + 1) % n) for v in range(n)] + [(1, 0)]
+            + [(v, v) for v in range(2, n)])
+    g = Digraph(n, arcs)
+    monkeypatch.setattr(embed_module, "deque", Counted)
     with pytest.raises(BudgetExceededError):
-        embed_monoid(g, greedy_cover(g, 1), max_order=3)
+        embed_monoid(g, greedy_cover(g, 2))
+    # the map that would have passed the cap is built but never stored
+    assert Counted.stored == MAX_CARRIER_ORDER - n
 
 
 @pytest.mark.parametrize("g,c_size", [

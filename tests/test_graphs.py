@@ -11,8 +11,10 @@ the enumeration is used at.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 import subprocess
 import sys
@@ -35,6 +37,7 @@ from semicayley import (
 )
 from semicayley.families import gen_K4_Cl, looped_path_digraph
 from semicayley.graphs import (
+    _split_flow,
     is_strongly_connected,
     strong_connectivity,
     vertex_connectivity,
@@ -492,6 +495,15 @@ def test_every_public_name_resolves():
         semicayley.no_such_name
 
 
+def test_every_submodule_export_resolves():
+    names = [m.name for m in pkgutil.iter_modules(semicayley.__path__)]
+    assert "graphs" in names and "embed" in names
+    for name in names:
+        module = importlib.import_module(f"semicayley.{name}")
+        for export in getattr(module, "__all__", ()):
+            assert hasattr(module, export), f"{name}.{export}"
+
+
 def test_weak_components():
     g = Digraph(5, [(0, 1), (1, 0), (2, 3), (3, 4)])
     comp = weak_components(g)
@@ -581,6 +593,14 @@ def _brute_vertex_connectivity(g: SimpleGraph) -> int:
 def test_vertex_connectivity_known_values(g, expect):
     assert vertex_connectivity(g) == expect
     assert _brute_vertex_connectivity(g) == expect
+
+
+def test_split_flow_on_a_deep_level_graph():
+    """The flow's depth-first search walks 3,000 levels without recursing."""
+    n = 1500
+    g = path_graph(n)
+    arcs = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
+    assert _split_flow(n, arcs, 0, n - 1) == 1
 
 
 def test_vertex_connectivity_rejects_trivial_order():

@@ -6,6 +6,7 @@ the library must agree with both.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -20,6 +21,7 @@ from semicayley import (
     arboricity,
     beta,
     connectivity_bound,
+    enumerate_graphs,
     independence_number,
     nonmonoid_certificate,
     pseudoarboricity,
@@ -115,6 +117,23 @@ def test_orientation_with_outdegree_roundtrip():
     assert max(d.out_degrees()) <= k
     und = {(min(u, v), max(u, v)) for u, v in d.arcs}
     assert und == set(g.edges)
+
+
+# frozen: sha256 over the arcs of orientation_with_outdegree(g,
+# pseudoarboricity(g)) for every simple graph of order 1..6
+ORIENTATIONS_6_DIGEST = (
+    "65ca98f13b293e63b66cc082358b40228b03d764a4aa7c56b31ab1143d11f17b")
+
+
+def test_orientations_frozen_up_to_order_6():
+    """Each orientation, not only its outdegrees, so the flow's path
+    order is pinned too."""
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, "simple"):
+            d = orientation_with_outdegree(g, pseudoarboricity(g))
+            digest.update(repr(sorted(d.arcs)).encode())
+    assert digest.hexdigest() == ORIENTATIONS_6_DIGEST
 
 
 def test_orientation_infeasible():

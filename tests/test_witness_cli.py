@@ -420,10 +420,10 @@ def _record(graph: str, table: str) -> str:
 
 
 def test_cli_verify_witness_refuses_orders_over_the_cap(monkeypatch, capsys):
-    from semicayley.embed import DEFAULT_MAX_ORDER
+    from semicayley.outcome import MAX_CARRIER_ORDER
 
     cap = MAX_ORDER["verify-witness"]
-    assert cap == DEFAULT_MAX_ORDER == MAX_ORDER["embed"] + 1
+    assert cap == MAX_CARRIER_ORDER == MAX_ORDER["embed"] + 1
     code, out, err = run_cli(["verify-witness"],
                              _record(f"{cap + 1} directed\n", "1 0\n0\n"),
                              monkeypatch, capsys)
