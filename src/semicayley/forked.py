@@ -1,8 +1,10 @@
 """Worker processes made with ``os.fork`` and pipes.
 
 A long table search and a census hand their jobs to children of the
-calling process through ``ordered``, which yields the answers in job
-order.  A child inherits, by the fork, the function that runs a job and
+calling process through ``ordered``, the one loop that starts workers,
+hands them jobs and yields the answers in job order.  Its helpers
+``_start`` forks one child and ``_end`` kills one, reaps it and closes
+its pipes.  A child inherits, by the fork, the function that runs a job and
 everything that function reads; only the jobs and their results cross
 the pipes, pickled.  A child never forks again, and a process with more
 than one Python thread never forks: a child forked while another thread
@@ -15,7 +17,7 @@ import itertools
 import os
 import sys
 from collections import deque
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator
 
 _in_worker = False
 
@@ -83,97 +85,46 @@ def _serve(run: Callable, jobs: int, results: int) -> None:
                 f"worker result not sendable: {type(exc).__name__}: {exc}")))
 
 
-class Workers:
-    """Up to ``count`` forked children, each running ``run(job)`` on one
-    job at a time.
-
-    ``submit`` hands a job to an idle child under a tag other than None;
-    the caller keeps count of the idle ones.  ``wait`` blocks until at
-    least one child has answered and returns ``(tag, ok, value)`` per
-    answer: ``run``'s return value, or the exception it raised.  A child
-    that ends without answering is reaped, and its job's answer is
-    ``(tag, None, RuntimeError)``.  ``close`` kills every child and reaps
-    it.
-    """
-
-    def __init__(self, run: Callable, count: int):
-        # result fd -> [pid, job fd, tag of its job or None while idle]
-        self._children: Dict[int, list] = {}
+def _start(run: Callable, children: Dict[int, list]) -> None:
+    """Fork a child that runs ``run(job)`` on one job at a time and enter
+    it in ``children``, idle."""
+    global _in_worker
+    jobs_r, jobs_w = os.pipe()
+    results_r, results_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
         try:
-            for _ in range(count):
-                self._start(run)
-        except BaseException:
-            self.close()
-            raise
+            _in_worker = True
+            os.close(jobs_w)
+            os.close(results_r)
+            for fd, (_, job_fd, _) in children.items():
+                os.close(fd)
+                os.close(job_fd)
+            _serve(run, jobs_r, results_w)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(jobs_r)
+    os.close(results_w)
+    children[results_r] = [pid, jobs_w, None]
 
-    def _start(self, run: Callable) -> None:
-        global _in_worker
-        jobs_r, jobs_w = os.pipe()
-        results_r, results_w = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                _in_worker = True
-                os.close(jobs_w)
-                os.close(results_r)
-                for fd, (_, job_fd, _) in self._children.items():
-                    os.close(fd)
-                    os.close(job_fd)
-                _serve(run, jobs_r, results_w)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(jobs_r)
-        os.close(results_w)
-        self._children[results_r] = [pid, jobs_w, None]
 
-    def submit(self, tag, job) -> None:
-        child = next(c for c in self._children.values() if c[2] is None)
-        child[2] = tag
-        _send(child[1], job)
+def _end(children: Dict[int, list], fd: int) -> None:
+    """Kill the child that answers on ``fd``, reap it and close its pipes."""
+    import signal
 
-    def wait(self) -> List[Tuple[object, bool, object]]:
-        import select
-
-        poll = select.poll()  # an idle child has nothing to read
-        for fd in self._children:
-            poll.register(fd, select.POLLIN)
-        answers = []
-        for fd, _ in poll.poll():
-            child = self._children[fd]
-            try:
-                ok, value = _recv(fd)
-            except EOFError:
-                self._end(fd)
-                error = RuntimeError(
-                    f"worker process {child[0]} ended without answering")
-                if child[2] is None:
-                    raise error from None
-                ok, value = None, error
-            answers.append((child[2], ok, value))
-            child[2] = None
-        return answers
-
-    def _end(self, fd: int) -> None:
-        """Kill the child that answers on ``fd`` and reap it."""
-        import signal
-
-        pid, job_fd, _ = self._children.pop(fd)
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:
-            pass
-        os.close(fd)
-        os.close(job_fd)
-
-    def close(self) -> None:
-        for fd in list(self._children):
-            self._end(fd)
+    pid, job_fd, _ = children.pop(fd)
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass
+    os.close(fd)
+    os.close(job_fd)
 
 
 def ordered(run: Callable, jobs: Iterable, count: int) -> Iterator:
@@ -190,8 +141,13 @@ def ordered(run: Callable, jobs: Iterable, count: int) -> Iterator:
     the generator, or leaving it on an exception, kills and reaps every
     worker.
     """
-    workers = Workers(run, count)
+    import select
+
+    # result fd -> [pid, job fd, pending entry of its job or None while idle]
+    children: Dict[int, list] = {}
     try:
+        for _ in range(count):
+            _start(run, children)
         jobs = iter(jobs)
         pending: deque = deque()  # [tag, (ok, value) or None], in job order
         running = 0
@@ -203,27 +159,30 @@ def ordered(run: Callable, jobs: Iterable, count: int) -> Iterator:
                 yield tag, ok, value
             for tag, job in itertools.islice(jobs, count - running):
                 pending.append([tag, None])
-                workers.submit(pending[-1], job)
+                child = next(c for c in children.values() if c[2] is None)
+                child[2] = pending[-1]
+                _send(child[1], job)
                 running += 1
             if not running:
                 return
-            for entry, ok, value in workers.wait():
-                entry[1] = (ok, value)
-                running -= 1
-                if ok is None:
+            poll = select.poll()  # an idle child has nothing to read
+            for fd in children:
+                poll.register(fd, select.POLLIN)
+            for fd, _ in poll.poll():
+                child = children[fd]
+                try:
+                    answer = _recv(fd)
+                except EOFError:
+                    _end(children, fd)
+                    error = RuntimeError(
+                        f"worker process {child[0]} ended without answering")
+                    if child[2] is None:
+                        raise error from None
+                    answer = None, error
                     jobs = iter(())
+                child[2][1] = answer
+                child[2] = None
+                running -= 1
     finally:
-        workers.close()
-
-
-def run_all(run: Callable, jobs: Sequence, count: int) -> list:
-    """``[run(job) for job in jobs]`` on ``count`` forked workers, each
-    handed the index of its next job.  The first exception in job order
-    is raised."""
-    answers = list(ordered(lambda i: run(jobs[i]),
-                           ((i, i) for i in range(len(jobs))),
-                           min(count, len(jobs))))
-    for _, ok, value in answers:
-        if not ok:
-            raise value
-    return [value for _, _, value in answers]
+        for fd in list(children):
+            _end(children, fd)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Dict, Iterator, Union
 
 __all__ = [
     "Digraph",
@@ -219,20 +219,19 @@ def _reach(masks: list, seen: int) -> int:
 
 
 def weak_components(g: Graph) -> ComponentDecomposition:
-    out, inn = _masks(g)
-    both = [o | i for o, i in zip(out, inn)]
-    comp = [-1] * g.order
-    count = 0
-    left = (1 << g.order) - 1
-    while left:
-        members = _reach(both, left & -left)
-        left ^= members
-        while members:
-            low = members & -members
-            members ^= low
-            comp[low.bit_length() - 1] = count
-        count += 1
-    return ComponentDecomposition(tuple(comp), count)
+    """One union-find pass over the arcs, with path halving."""
+    parent = list(range(g.order))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for u, v in g.edges if isinstance(g, SimpleGraph) else g.arcs:
+        parent[root(u)] = root(v)
+    ids: Dict[int, int] = {}  # a root -> its component's id, in vertex order
+    comp = tuple(ids.setdefault(root(v), len(ids)) for v in range(g.order))
+    return ComponentDecomposition(comp, len(ids))
 
 
 def is_strongly_connected(g: Digraph) -> bool:

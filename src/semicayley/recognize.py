@@ -61,14 +61,6 @@ FORK_AFTER = 1 << 16
 SPLIT = 2
 
 
-def _left_zero(n: int, monoid: bool) -> MulTable:
-    """x*y = x on {0..n-1}; with ``monoid``, 0 is an identity instead."""
-    rows = [(x,) * n for x in range(n)]
-    if monoid:
-        rows[0] = tuple(range(n))
-    return MulTable(n, rows, identity=0 if monoid else None)
-
-
 class _GraphTables:
     """What the table search asks of one graph, built once for all of its
     (identity, connection set) candidates.
@@ -166,7 +158,7 @@ class _TableSolver:
     meets the triples in: whether a value passes depends only on the set
     of assignments, and the order of these lists changes no node count.
 
-    ``_walk``, behind ``search`` and ``pieces``, is a loop over an
+    ``walk``, behind ``search`` and ``_answers``, is a loop over an
     explicit stack with one frame per branching cell: the cell's index in
     the order, an iterator over its untried candidate values, and the
     trail length to undo to before the next one.  It visits the nodes a
@@ -411,43 +403,20 @@ class _TableSolver:
         return True
 
     def search(self) -> Optional[MulTable]:
-        """The first table below the current state that ``_finish``
-        accepts, or None once the subtree is exhausted and the state
-        restored; ``budget`` counts the nodes."""
-        for _, path in self._walk(self.budget, -1):
+        """The first complete table below the current state that
+        ``leaf_check``, when given, accepts, or None once the subtree is
+        exhausted and the state restored; ``budget`` counts the nodes."""
+        for _, path in self.walk(self.budget, -1):
             if path is not None:
-                table = self._finish()
-                if table is not None:
+                rows = tuple(tuple(row) for row in self.table)
+                table = MulTable(self.n, rows, identity=self.identity)
+                if self.leaf_check is None or self.leaf_check(table, self.conn):
                     return table
         return None
 
-    def pieces(self):
-        """The pieces of the subtree below the current state, in
-        depth-first order: the subtrees under its first ``SPLIT``
-        branching cells.
-
-        Yields ``(lead, path)`` with the solver in the state of the
-        piece's root, a node that passed at depth ``SPLIT`` or a complete
-        table above it; ``path`` holds the values of the branching cells
-        down to it, and ``search`` there explores the piece.  ``lead``
-        counts the nodes tried at depth ``SPLIT`` or above since the
-        previous piece, the root included.  A last ``(lead, None)`` counts
-        those after the last piece.  The budget counts none of them.
-        """
-        return self._walk(Budget(max_seconds=None), SPLIT)
-
-    def replay(self, path: Sequence[int]) -> None:
-        """Assign ``path``'s values to the next open cells in order, as
-        the walk that yielded the path did."""
-        T = self.table
-        for v in path:
-            a, b = next(cell for cell in self.order if T[cell[0]][cell[1]] < 0)
-            if not self.assign_propagate(a, b, v):
-                raise RuntimeError("a replayed path no longer passes")
-
-    def _walk(self, budget: Budget, split: int):
+    def walk(self, budget: Budget, split: int):
         """Depth-first search below the current state, the one loop behind
-        ``search`` and ``pieces``.
+        ``search`` and ``_answers``.
 
         Yields ``(nodes, path)`` at every complete table and at every
         node of depth ``split`` that passes; on resumption it backtracks
@@ -507,14 +476,6 @@ class _TableSolver:
                 yield nodes - counted, None
                 return
 
-    def _finish(self) -> Optional[MulTable]:
-        rows = tuple(tuple(row) for row in self.table)
-        table = MulTable(self.n, rows, identity=self.identity)
-        if self.leaf_check is not None and not self.leaf_check(table, self.conn):
-            # returning None resumes the enumeration at the caller
-            return None
-        return table
-
 
 def _witness_from_table(mode, table, connection, carrier) -> CayleyWitness:
     return CayleyWitness(
@@ -540,15 +501,26 @@ def _search_tables(
     its neighborhoods in ``monoid-graph``.  An edgeless ``g`` is answered
     by a left-zero table, with an identity adjoined in the monoid modes,
     over the empty connection set; ``leaf_check`` (see ``_TableSolver``)
-    judges that table as it does every searched one.  The first table
-    found is returned as a witness that has passed ``_verified``.
+    judges that table as it does every searched one.
+
+    Otherwise this is the merge loop.  It takes the pieces' answers from
+    ``_answers`` in depth-first order, in process or from workers, and
+    merges each as the serial search would meet it: the piece's ``lead``,
+    its subtree's nodes, then its table.  So status, table and node count
+    are the serial search's: the first piece holding a table gives the
+    witness, which has passed ``_verified``, and a node limit passed
+    inside a piece stops the count at one node past it.
     """
     budget = budget or Budget()
     n = g.order
     directed = mode != "monoid-graph"
     carrier = "directed" if directed else "undirected"
     if not any(sets):
-        table = _left_zero(n, mode != "semigroup-digraph")
+        rows = [(x,) * n for x in range(n)]
+        monoid = mode != "semigroup-digraph"
+        if monoid:
+            rows[0] = tuple(range(n))
+        table = MulTable(n, rows, identity=0 if monoid else None)
         if leaf_check is not None and not leaf_check(table, ()):
             return no_outcome(budget)
         w = _witness_from_table(mode, table, (), carrier)
@@ -563,28 +535,6 @@ def _search_tables(
         return _TableSolver(graph, conn, budget, identity=identity,
                             injective_rows=injective, leaf_check=leaf_check)
 
-    try:
-        found = _run_pieces(make, candidates, budget)
-    except BudgetExceededError:
-        return budget_outcome(budget)
-    if found is None:
-        return no_outcome(budget)
-    w = _witness_from_table(mode, *found, carrier)
-    return witness_outcome(_verified(w, g), budget)
-
-
-def _run_pieces(make, candidates, budget: Budget):
-    """The merge loop: take each candidate's pieces' answers in order and
-    return the first table found, with its connection set, or None.
-
-    ``make(identity, conn)`` builds a candidate's solver on ``budget``.
-    Each answer is merged as the serial search would meet it: first the
-    piece's ``lead``, then its subtree's nodes, then its table.  So the
-    status, the table and the node count are those of the serial search:
-    the first piece in order that holds a table gives the witness, and a
-    node limit passed inside a piece stops the count at one node past it.
-    The answers come from ``_answers``, in process or from workers.
-    """
     answers = _answers(make, candidates, budget)
     try:
         for (lead, conn), ok, value in answers:
@@ -596,16 +546,30 @@ def _run_pieces(make, candidates, budget: Budget):
             if stopped:  # count has raised; a stopped piece is never exhausted
                 raise BudgetExceededError("budget exhausted in a piece")
             if table is not None:
-                return table, conn
-        return None
+                break
+        else:
+            return no_outcome(budget)
+    except BudgetExceededError:
+        return budget_outcome(budget)
     finally:
         answers.close()
+    w = _witness_from_table(mode, table, conn, carrier)
+    return witness_outcome(_verified(w, g), budget)
 
 
 def _answers(make, candidates, budget: Budget):
     """``((lead, conn), ok, answer)`` per piece of each candidate, in
     depth-first order; ``answer`` is ``_explore``'s, or the exception
     raised in its place.
+
+    A candidate's pieces are the subtrees under its first ``SPLIT``
+    branching cells.  Its solver's ``walk`` stops at each piece's root, a
+    node that passed at depth ``SPLIT`` or a complete table above it, with
+    ``path``, the values of the branching cells down to it.  ``lead``
+    counts the nodes tried at depth ``SPLIT`` or above since the previous
+    piece, the root included; a last ``(lead, None)`` counts those after
+    the last piece.  The walk counts them on a budget of its own; the
+    merge loop adds ``lead`` to the search's.
 
     Pieces are explored in process until the search has counted
     ``FORK_AFTER`` nodes at a piece boundary.  From there, if this
@@ -618,7 +582,7 @@ def _answers(make, candidates, budget: Budget):
     pieces = ((solver, lead, path)
               for solver in (make(e, conn) for e, conn in candidates)
               if solver.prefill_identity()
-              for lead, path in solver.pieces())
+              for lead, path in solver.walk(Budget(max_seconds=None), SPLIT))
     for piece in pieces:
         if budget.nodes - start >= FORK_AFTER:
             from . import forked
@@ -653,11 +617,28 @@ def _explore(solver: _TableSolver, path, cap: int):
 
 def _run_piece(make, identity, conn, path, cap: int):
     """A worker's job: build the candidate's solver, replay the piece's
-    path and explore the piece."""
+    path, assigning its values to the next open cells in order as the walk
+    that yielded it did, and explore the piece."""
     solver = make(identity, conn)
     solver.prefill_identity()
-    solver.replay(path or ())
+    T = solver.table
+    for v in path or ():
+        a, b = next(cell for cell in solver.order if T[cell[0]][cell[1]] < 0)
+        if not solver.assign_propagate(a, b, v):
+            raise RuntimeError("a replayed path no longer passes")
     return _explore(solver, path, cap)
+
+
+def _monoid_identities(out_sets: Sequence[set]) -> List[int]:
+    """The vertices that may be the identity of a monoid whose Cayley
+    digraph has these out-neighborhoods: those of maximum outdegree (the
+    identity's row is a bijection onto the vertex set, so no row can cover
+    a larger out-neighborhood), looped only when every vertex is looped
+    (x*e = x is then a connection cell)."""
+    dmax = max(map(len, out_sets))
+    all_looped = all(x in s for x, s in enumerate(out_sets))
+    return [e for e, s in enumerate(out_sets)
+            if len(s) == dmax and (all_looped or e not in s)]
 
 
 def recognize_monoid_digraph(
@@ -666,19 +647,13 @@ def recognize_monoid_digraph(
 ) -> SearchOutcome:
     """Decide whether ``g`` is the Cayley digraph of a finite monoid.
 
-    The identity candidate ranges over vertices of maximum outdegree (the
-    identity's row is a bijection onto the vertex set, so no row can
-    cover a larger out-neighborhood).  Given the identity, the connection
-    set is exactly its out-neighborhood.  A looped candidate e remains
-    only if every vertex is looped, since x*e = x is then a connection
-    cell.  That is the one rule e's prefill can fail; with no candidate
+    The identity candidates are ``_monoid_identities``; given the
+    identity, the connection set is exactly its out-neighborhood.  The
+    loop rule is the one rule e's prefill can fail; with no candidate
     left, the negative (0 nodes) comes before any table is built.
     """
     out_sets = [frozenset(s) for s in g.out_neighbors()]
-    dmax = max(map(len, out_sets))
-    all_looped = all(x in s for x, s in enumerate(out_sets))
-    candidates = [(e, s) for e, s in enumerate(out_sets)
-                  if len(s) == dmax and (all_looped or e not in s)]
+    candidates = [(e, out_sets[e]) for e in _monoid_identities(out_sets)]
     if not candidates:
         return no_outcome(budget or Budget())
     return _search_tables("monoid-digraph", g, budget, out_sets, candidates)
@@ -797,24 +772,21 @@ def sabidussi_check(g: Digraph, budget: Optional[Budget] = None) -> SearchOutcom
     The nodes are those of ``endomorphisms`` (lexicographic order) plus
     one per endomorphism tried in the selection.  phi is a candidate for
     phi_{phi(e)} iff the out-mask of phi(e) lies inside the bitmask of
-    phi's images of the out-neighbors of e.  Only identities of maximum
-    outdegree reach that filter: phi(N+(e)) has at most deg e elements,
-    so below it some vertex has no candidate, and the filter counts no
-    node.  Nor does a looped e beside a loopless x: an endomorphism maps
-    a looped vertex to a looped one, so x has no candidate either.
+    phi's images of the out-neighbors of e.  Only ``_monoid_identities``
+    reach that filter; it would count no node for the others.  Below the
+    maximum outdegree some vertex has no candidate, since phi(N+(e)) has
+    at most deg e elements.  Beside a loopless x, a looped e leaves x
+    none either: an endomorphism maps a looped vertex to a looped one.
     """
     if g.order > 8:
         raise ValueError("endomorphism search is limited to order <= 8")
     budget = budget or Budget()
     n = g.order
     need = _masks(g)[0]
-    dmax = max(m.bit_count() for m in need)
-    all_looped = all(need[x] >> x & 1 for x in range(n))
     try:
         endos = endomorphisms(g, budget)
         identity_map = tuple(range(n))
-        for e in [e for e in range(n) if need[e].bit_count() == dmax
-                  and (all_looped or not need[e] >> e & 1)]:
+        for e in _monoid_identities(g.out_neighbors()):
             conn = [c for c in range(n) if need[e] >> c & 1]
             cands: List[List[Tuple[int, ...]]] = [[] for _ in range(n)]
             for phi in endos:
@@ -965,7 +937,13 @@ def classify_all(
     count = min(forked.usable_cpus() if workers is None else workers,
                 len(jobs))
     if count > 1 and forked.may_fork():
-        entries = forked.run_all(_run_census_instance, jobs, count)
+        # a worker is handed only the index of its class
+        answers = list(forked.ordered(lambda i: _run_census_instance(jobs[i]),
+                                      ((i, i) for i in range(len(jobs))), count))
+        for _, ok, value in answers:
+            if not ok:
+                raise value  # the first error in enumeration order
+        entries = [value for _, _, value in answers]
     else:
         entries = [_run_census_instance(job) for job in jobs]
     return CensusReport(order, mode, entries)

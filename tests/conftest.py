@@ -12,17 +12,41 @@ import semicayley
 from semicayley import Digraph, SimpleGraph
 
 
+def _open_pipes() -> set:
+    """``(fd, target)`` for each pipe this process holds open; empty where
+    ``/proc/self/fd`` does not exist."""
+    try:
+        fds = os.listdir("/proc/self/fd")
+    except FileNotFoundError:
+        return set()
+    pipes = set()
+    for fd in fds:
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the fd that listed the directory, closed since
+            continue
+        if target.startswith("pipe:"):
+            pipes.add((int(fd), target))
+    return pipes
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Every test reaps each process it starts: a census forks by default,
-    and a worker left behind would outlive the suite."""
+    """Every test reaps each process it starts and closes each pipe it
+    opens: a census forks by default, a worker left behind would outlive
+    the suite, and each worker is fed through two pipes."""
+    pipes = _open_pipes()
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
-        return
-    pytest.fail("a child process was left behind: "
-                + (f"pid {pid} had ended unreaped" if pid else "one still runs"))
+        pass
+    else:
+        pytest.fail("a child process was left behind: " + (
+            f"pid {pid} had ended unreaped" if pid else "one still runs"))
+    left = sorted(_open_pipes() - pipes)
+    if left:
+        pytest.fail(f"pipes were left open: {left}")
 
 
 def cycle_graph(n: int) -> SimpleGraph:

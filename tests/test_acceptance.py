@@ -186,6 +186,26 @@ def test_a6_extended_unrestricted_search():
            ok, time.perf_counter() - t0, 3600.0)
 
 
+def test_a6_k4_c4_union_refuted_at_order_8():
+    """The table search refutes K4 ∪ C4 in exactly 322,418 nodes: a budget
+    of that many holds the search, one node less stops it.  A relabelled
+    copy (vertex v becomes perm[v]) is refuted too, in its own count."""
+    t0 = time.perf_counter()
+    g = gen_K4_Cl(4)
+    b = budget(nodes=322_418)
+    out = recognize_monoid_graph(g, b)
+    ok = (out.status == "exhausted-no" and out.nodes == 322_418
+          and b.nodes == out.nodes)
+    short = recognize_monoid_graph(g, budget(nodes=322_417))
+    ok = ok and short.status == "budget-exceeded"
+    perm = [3, 6, 1, 5, 7, 0, 4, 2]
+    relabelled = SimpleGraph(8, [(perm[u], perm[v]) for u, v in g.edges])
+    out = recognize_monoid_graph(relabelled, budget())
+    ok = ok and (out.status, out.nodes) == ("exhausted-no", 113_973)
+    report("A6c4", "complete-graph/4-cycle union refuted at order 8",
+           ok, time.perf_counter() - t0, 60.0)
+
+
 def test_a7_random_sink_free_embeddings():
     # Random 3-map closures on 6 points can reach tens of thousands of
     # elements, so draws whose transition monoid would not fit in a

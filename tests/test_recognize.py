@@ -942,6 +942,34 @@ def test_default_census_forks_one_worker_per_usable_cpu(monkeypatch):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("workers", [None, 1])
+def test_census_search_error_reaches_the_caller_first_in_order(monkeypatch,
+                                                               workers):
+    """A search that raises reaches the caller of ``classify_all`` as that
+    exception, the first in enumeration order, even when a later class
+    raises first: forked by default on two usable CPUs, or in process.
+    No child process and no pipe is left behind."""
+    import time
+
+    started = _two_cpus_counting_forks(monkeypatch)
+    classes = list(enumerate_graphs(3, "simple"))
+    recognize = recognize_module._RECOGNIZERS["monoid-graph"]
+
+    def failing(g, budget):
+        i = classes.index(g)
+        if i == 1:
+            time.sleep(0.2)  # class 3's error arrives before this one
+        if i in (1, 3):
+            raise ValueError(f"class {i}")
+        return recognize(g, budget)
+
+    monkeypatch.setitem(recognize_module._RECOGNIZERS, "monoid-graph", failing)
+    with pytest.raises(ValueError, match="^class 1$"):
+        classify_all(3, "monoid-graph", workers=workers)
+    assert len(started) == (2 if workers is None else 0)
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_census_workers_below_one_is_an_input_error(monkeypatch, workers):
     def no_enumeration(*args):
@@ -1011,8 +1039,9 @@ def test_no_search_forks_inside_a_worker_or_beside_a_thread(forking):
     import threading
 
     assert forked.may_fork()
-    assert forked.run_all(lambda job: forked.may_fork(), [0, 1, 2], 2) == [
-        False, False, False]
+    answers = forked.ordered(lambda job: forked.may_fork(),
+                             [(i, i) for i in range(3)], 2)
+    assert [value for _, _, value in answers] == [False, False, False]
     assert len(forking) == 2
     release = threading.Event()
     thread = threading.Thread(target=release.wait)

@@ -40,7 +40,7 @@ from semicayley import (
     verify_witness,
     witness_ok,
 )
-from semicayley import cli, forked
+from semicayley import cli
 from semicayley.cli import MAX_ORDER, main
 from semicayley.families import gen_perfect_kary, looped_path_digraph, gen_threshold
 from semicayley.witness import CayleyWitness, WitnessRecordError
@@ -517,7 +517,7 @@ def test_cli_census_bounds_workers_before_starting_any(workers, monkeypatch,
     def no_workers(*args, **kwargs):
         raise AssertionError("a worker was started")
 
-    monkeypatch.setattr(forked, "Workers", no_workers)
+    monkeypatch.setattr(os, "fork", no_workers)
     code, out, err = run_cli(
         ["census", "3", "--mode", "monoid-graph", "--workers", workers],
         capsys=capsys)
