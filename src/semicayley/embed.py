@@ -24,7 +24,7 @@ from .algebra import MulTable
 from .graphs import Digraph, SimpleGraph
 from .invariants import orientation_with_outdegree, pseudoarboricity
 from .outcome import DEFAULT_MAX_MAPS, MAX_CARRIER_ORDER, BudgetExceededError
-from .witness import CayleyWitness, _verified
+from .witness import CayleyWitness, certify
 
 __all__ = [
     "FunctionFamily",
@@ -131,7 +131,7 @@ def closure(fam: FunctionFamily, max_maps: int = DEFAULT_MAX_MAPS) -> tuple:
     return tuple(found)
 
 
-def _embed(target: Digraph, fam: FunctionFamily, carrier: str, claim,
+def _embed(target: Digraph, fam: FunctionFamily, claim,
            max_maps: int) -> CayleyWitness:
     viol = family_violation(fam, target)
     if viol is not None:
@@ -154,19 +154,15 @@ def _embed(target: Digraph, fam: FunctionFamily, carrier: str, claim,
                    for b in range(total)]
         rows.append(tuple(row))
     table = MulTable(total, tuple(rows), identity=n)
-
-    w = CayleyWitness("embedding", table,
-                      frozenset(index[m] for m in fam.maps),
-                      tuple(range(n)), carrier=carrier,
-                      component=tuple(range(n, total)))
-    return _verified(w, claim)
+    return certify("embedding", claim, table, (index[m] for m in fam.maps),
+                   component=range(n, total))
 
 
 def embed_monoid(g: Digraph, fam: FunctionFamily,
                  max_maps: int = DEFAULT_MAX_MAPS) -> CayleyWitness:
     """Monoid witness whose Cayley digraph minus the identity's component
     equals g exactly; connection set = the family maps."""
-    return _embed(g, fam, "directed", g, max_maps)
+    return _embed(g, fam, g, max_maps)
 
 
 def embed_undirected(g: SimpleGraph,
@@ -191,4 +187,4 @@ def embed_undirected(g: SimpleGraph,
             arcs.add((v, u))
     fixed = Digraph(g.order, arcs)
     fam = greedy_cover(fixed, k)
-    return _embed(fixed, fam, "undirected", g, max_maps)
+    return _embed(fixed, fam, g, max_maps)

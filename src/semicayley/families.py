@@ -11,7 +11,7 @@ from typing import Tuple
 
 from .algebra import MulTable
 from .graphs import Digraph, SimpleGraph, is_strongly_connected
-from .witness import CayleyWitness, _verified
+from .witness import CayleyWitness, certify
 
 __all__ = [
     "gen_Gkl",
@@ -146,9 +146,7 @@ def gen_threshold(seq) -> Tuple[SimpleGraph, CayleyWitness]:
     n = len(rows)
     g = SimpleGraph(n, edges)
     table = MulTable(n, rows, identity=identity)
-    w = CayleyWitness("monoid-graph", table, frozenset(conn),
-                      tuple(range(n)), carrier="undirected")
-    return g, _verified(w, g)
+    return g, certify("monoid-graph", g, table, conn)
 
 
 def gen_K4_Cl(ell: int) -> SimpleGraph:

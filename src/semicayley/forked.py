@@ -13,7 +13,6 @@ holds a lock can deadlock on it.
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 from collections import deque
@@ -91,7 +90,12 @@ def _start(run: Callable, children: Dict[int, list]) -> None:
     global _in_worker
     jobs_r, jobs_w = os.pipe()
     results_r, results_w = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (jobs_r, jobs_w, results_r, results_w):
+            os.close(fd)
+        raise
     if pid == 0:
         code = 1
         try:
@@ -137,52 +141,65 @@ def ordered(run: Callable, jobs: Iterable, count: int) -> Iterator:
     ``count`` drawn jobs are unanswered at a time; answers that arrive
     before an earlier one wait for it.  A worker that ends without
     answering ends the stream with ``RuntimeError`` in its job's place,
-    after the answers before it; no job is drawn after it ends.  Closing
-    the generator, or leaving it on an exception, kills and reaps every
+    or, if it ended idle, after the jobs drawn so far; the answers before
+    the error come first, and no job is drawn after it.  Closing the
+    generator, or leaving it on an exception, kills and reaps every
     worker.
     """
     import select
 
     # result fd -> [pid, job fd, pending entry of its job or None while idle]
     children: Dict[int, list] = {}
+
+    def lose(fd: int, entry: list) -> None:
+        """End the child on ``fd``, which ended without answering, put the
+        error in ``entry``'s place and draw no further job."""
+        nonlocal jobs
+        pid = children[fd][0]
+        _end(children, fd)
+        entry[1] = None, RuntimeError(
+            f"worker process {pid} ended without answering")
+        jobs = iter(())
+
     try:
         for _ in range(count):
             _start(run, children)
         jobs = iter(jobs)
         pending: deque = deque()  # [tag, (ok, value) or None], in job order
-        running = 0
         while True:
             while pending and pending[0][1] is not None:
                 tag, (ok, value) = pending.popleft()
                 if ok is None:
                     raise value
                 yield tag, ok, value
-            for tag, job in itertools.islice(jobs, count - running):
+            idle = [fd for fd, child in children.items() if child[2] is None]
+            for fd, (tag, job) in zip(idle, jobs):  # draws one job per idle fd
                 pending.append([tag, None])
-                child = next(c for c in children.values() if c[2] is None)
-                child[2] = pending[-1]
-                _send(child[1], job)
-                running += 1
-            if not running:
-                return
-            poll = select.poll()  # an idle child has nothing to read
+                try:
+                    _send(children[fd][1], job)
+                except BrokenPipeError:  # the child ended while idle
+                    lose(fd, pending[-1])
+                    break
+                children[fd][2] = pending[-1]
+            if all(child[2] is None for child in children.values()):
+                if not pending:
+                    return
+                continue  # to the error in the last entry's place
+            poll = select.poll()  # an idle child that reads ready has ended
             for fd in children:
                 poll.register(fd, select.POLLIN)
             for fd, _ in poll.poll():
-                child = children[fd]
+                entry = children[fd][2]
                 try:
                     answer = _recv(fd)
                 except EOFError:
-                    _end(children, fd)
-                    error = RuntimeError(
-                        f"worker process {child[0]} ended without answering")
-                    if child[2] is None:
-                        raise error from None
-                    answer = None, error
-                    jobs = iter(())
-                child[2][1] = answer
-                child[2] = None
-                running -= 1
+                    if entry is None:
+                        entry = [None, None]
+                        pending.append(entry)
+                    lose(fd, entry)
+                    continue
+                entry[1] = answer
+                children[fd][2] = None
     finally:
         for fd in list(children):
             _end(children, fd)

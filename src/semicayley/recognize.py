@@ -49,9 +49,7 @@ from .outcome import (
     no_outcome,
     witness_outcome,
 )
-# WitnessCheckError is imported so that it stays reachable from here too
-from .witness import (CayleyWitness, WitnessCheckError, _verified,  # noqa: F401
-                      generated_submonoid)
+from .witness import certify, generated_submonoid
 
 
 # A search forks workers once it has counted this many nodes at a piece
@@ -477,16 +475,6 @@ class _TableSolver:
                 return
 
 
-def _witness_from_table(mode, table, connection, carrier) -> CayleyWitness:
-    return CayleyWitness(
-        mode=mode,
-        table=table,
-        connection=frozenset(connection),
-        vertex_map=tuple(range(table.order)),
-        carrier=carrier,
-    )
-
-
 def _search_tables(
     mode: str,
     g: Graph,
@@ -508,13 +496,12 @@ def _search_tables(
     merges each as the serial search would meet it: the piece's ``lead``,
     its subtree's nodes, then its table.  So status, table and node count
     are the serial search's: the first piece holding a table gives the
-    witness, which has passed ``_verified``, and a node limit passed
+    witness, which ``certify`` has checked, and a node limit passed
     inside a piece stops the count at one node past it.
     """
     budget = budget or Budget()
     n = g.order
     directed = mode != "monoid-graph"
-    carrier = "directed" if directed else "undirected"
     if not any(sets):
         rows = [(x,) * n for x in range(n)]
         monoid = mode != "semigroup-digraph"
@@ -523,8 +510,7 @@ def _search_tables(
         table = MulTable(n, rows, identity=0 if monoid else None)
         if leaf_check is not None and not leaf_check(table, ()):
             return no_outcome(budget)
-        w = _witness_from_table(mode, table, (), carrier)
-        return witness_outcome(_verified(w, g), budget)
+        return witness_outcome(certify(mode, g, table, ()), budget)
     if directed and not all(sets):
         # a nonempty connection set forces positive outdegree everywhere
         return no_outcome(budget)
@@ -553,8 +539,7 @@ def _search_tables(
         return budget_outcome(budget)
     finally:
         answers.close()
-    w = _witness_from_table(mode, table, conn, carrier)
-    return witness_outcome(_verified(w, g), budget)
+    return witness_outcome(certify(mode, g, table, conn), budget)
 
 
 def _answers(make, candidates, budget: Budget):
@@ -852,8 +837,8 @@ def sabidussi_check(g: Digraph, budget: Optional[Budget] = None) -> SearchOutcom
             if extend(0):
                 rows = tuple(chosen[x] for x in range(n))
                 table = MulTable(n, rows, identity=e)
-                w = _witness_from_table("monoid-digraph", table, conn, "directed")
-                return witness_outcome(_verified(w, g), budget)
+                return witness_outcome(
+                    certify("monoid-digraph", g, table, conn), budget)
     except BudgetExceededError:
         return budget_outcome(budget)
     return no_outcome(budget)
@@ -920,9 +905,10 @@ def classify_all(
     instance cannot starve the rest.  The classes are classified on
     ``workers`` forked workers (see ``forked``), by default one per CPU
     this process may use, and come back in enumeration order; a worker's
-    searches stay serial.  One worker, one class, one usable CPU, or a
-    process that may not fork (a worker itself, or one running a second
-    Python thread) classifies in process.
+    searches stay serial.  The first error in enumeration order is raised
+    as soon as it comes up, and the workers stop with it.  One worker,
+    one class, one usable CPU, or a process that may not fork (a worker
+    itself, or one running a second Python thread) classifies in process.
     """
     if mode not in CENSUS_MODES:
         raise ValueError(f"unknown census mode: {mode}")
@@ -938,12 +924,16 @@ def classify_all(
                 len(jobs))
     if count > 1 and forked.may_fork():
         # a worker is handed only the index of its class
-        answers = list(forked.ordered(lambda i: _run_census_instance(jobs[i]),
-                                      ((i, i) for i in range(len(jobs))), count))
-        for _, ok, value in answers:
-            if not ok:
-                raise value  # the first error in enumeration order
-        entries = [value for _, _, value in answers]
+        answers = forked.ordered(lambda i: _run_census_instance(jobs[i]),
+                                 ((i, i) for i in range(len(jobs))), count)
+        entries = []
+        try:
+            for _, ok, value in answers:
+                if not ok:
+                    raise value  # the first error in enumeration order
+                entries.append(value)
+        finally:
+            answers.close()
     else:
         entries = [_run_census_instance(job) for job in jobs]
     return CensusReport(order, mode, entries)

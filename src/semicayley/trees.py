@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import MulTable
 from .graphs import SimpleGraph, weak_components
 from .outcome import Budget
-from .witness import CayleyWitness, WitnessCheckError, _verified
+from .witness import CayleyWitness, WitnessCheckError, certify
 
 YES = "yes"
 NO = "no"
@@ -186,7 +186,7 @@ def construct_generated_witness(a: RootedTreeAnalysis) -> CayleyWitness:
         for v, p, i in links:
             row[v] = move[row[p]][i]
         rows.append(tuple(row))
-    # the sufficient condition is what makes this associative; _verified
+    # the sufficient condition is what makes this associative; certify
     # checks that with the rest of the witness
     table = MulTable(n, tuple(rows), identity=e)
     # colored agreement: multiplying by the i-th letter is the i-th step
@@ -194,14 +194,7 @@ def construct_generated_witness(a: RootedTreeAnalysis) -> CayleyWitness:
         for i, c in enumerate(children[e]):
             if rows[x][c] != step(x, i):
                 raise WitnessCheckError("colored arcs disagree with labeling")
-    w = CayleyWitness(
-        mode="generated-monoid-tree",
-        table=table,
-        connection=frozenset(children[e]),
-        vertex_map=tuple(range(n)),
-        carrier="undirected",
-    )
-    return _verified(w, t)
+    return certify("generated-monoid-tree", t, table, children[e])
 
 
 def necessary_check(a: RootedTreeAnalysis, symmetry_free: bool):

@@ -3,7 +3,7 @@
 A witness packages a multiplication table, a connection set and a vertex
 bijection.  Every witness produced anywhere in the library is self-verifying:
 ``verify_witness`` re-derives each claimed boolean from scratch, every
-producer passes its witness through ``_verified`` before returning it, and
+producer builds its witness through ``certify``, which runs those checks, and
 the text record format carries the graph so a verifier needs nothing else.
 
 The connection set may be empty only for edgeless carriers (an arcless
@@ -25,6 +25,7 @@ __all__ = [
     "CayleyWitness",
     "MODES",
     "cayley_arc_set",
+    "certify",
     "generated_submonoid",
     "verify_witness",
     "witness_ok",
@@ -53,7 +54,7 @@ class CayleyWitness:
     identity's component (the part removed by the embedding claim).
     """
 
-    # (graph, checks) of the ``_verified`` call that accepted this
+    # (graph, checks) of the ``certify`` call that accepted this
     # witness; not a field, so equality and the record ignore it
     _checks = None
 
@@ -179,17 +180,24 @@ class WitnessCheckError(RuntimeError):
     failed its own re-verification."""
 
 
-def _verified(witness: CayleyWitness, graph) -> CayleyWitness:
-    """Return ``witness`` once every check of ``verify_witness`` holds.
+def certify(mode: str, graph, table: MulTable, connection,
+            component=None) -> CayleyWitness:
+    """The witness that ``table`` and ``connection`` give ``graph``, once
+    every check of ``verify_witness`` holds.
 
-    The one self-check every producer runs on its witness: an explicit
-    check rather than ``assert``, so that it also runs under ``python -O``.
+    The one door every producer builds its witness through: the carrier
+    is ``graph``'s kind and the vertex map the identity on its vertices.
+    The check is explicit rather than an ``assert``, so that it also runs
+    under ``python -O``.
     """
+    carrier = "directed" if isinstance(graph, Digraph) else "undirected"
+    witness = CayleyWitness(mode, table, connection, range(graph.order),
+                            carrier=carrier, component=component)
     checks = verify_witness(witness, graph)
     failed = [k for k, ok in checks.items() if not ok]
     if failed:
         raise WitnessCheckError(
-            f"{witness.mode} witness fails its own checks: {', '.join(failed)}")
+            f"{mode} witness fails its own checks: {', '.join(failed)}")
     object.__setattr__(witness, "_checks", (graph, checks))
     return witness
 
@@ -204,7 +212,7 @@ class WitnessRecordError(ValueError):
 def format_witness_record(w: CayleyWitness, g) -> str:
     """The text record of ``w`` against ``g``, with its ``check`` lines.
 
-    A witness that passed ``_verified`` against a graph equal to ``g``
+    A witness that ``certify`` accepted against a graph equal to ``g``
     carries the checks of that call, and the record writes them; any
     other witness is checked here.
     """

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 from .algebra import MulTable
 from .graphs import Digraph, SimpleGraph, weak_components
-from .witness import CayleyWitness, WitnessCheckError, _verified
+from .witness import CayleyWitness, WitnessCheckError, certify
 
 __all__ = [
     "ComponentShape",
@@ -166,12 +166,13 @@ def construct_monoid(g: Digraph, e: Optional[int] = None) -> CayleyWitness:
     l(C) + z(C) - 1 steps beyond e.  Products by other components leave
     the right factor unchanged.
     """
-    return _verified(_monoid_witness(g, e), g)
+    table, a = _monoid_table(g, e)
+    return certify("monoid-digraph", g, table, {a})
 
 
-def _monoid_witness(g: Digraph, e: Optional[int]) -> CayleyWitness:
-    """``construct_monoid`` without its self-check, for the constructions
-    that check the witness they derive from it instead."""
+def _monoid_table(g: Digraph, e: Optional[int]) -> Tuple[MulTable, int]:
+    """The table of ``construct_monoid`` and its generator, for the
+    constructions that derive their own witness from it."""
     p = profile(g)
     if e is None:
         ok, cid = decide_monoid(p)
@@ -202,8 +203,7 @@ def _monoid_witness(g: Digraph, e: Optional[int]) -> CayleyWitness:
         for _ in range(dist[e]):
             path.append(p.succ[path[-1]])
         rows.append([path[r[y]] if in_c[y] else y for y in range(n)])
-    table = MulTable(n, rows, identity=e)
-    return CayleyWitness("monoid-digraph", table, {a}, tuple(range(n)))
+    return MulTable(n, rows, identity=e), a
 
 
 def construct_semigroup(g: Digraph) -> CayleyWitness:
@@ -217,13 +217,11 @@ def construct_semigroup(g: Digraph) -> CayleyWitness:
     v = min(u for u in shape.vertices if p.vertex_depth[u] == shape.depth)
     n = g.order
     extended = Digraph(n + 1, set(g.arcs) | {(n, v)})
-    big = _monoid_witness(extended, n)
-    rows = big.table.rows
+    rows = _monoid_table(extended, n)[0].rows
     if any(rows[x][y] == n for x in range(n) for y in range(n)):
         raise WitnessCheckError("semigroup reduction not closed without neutral")
     table = MulTable(n, [row[:n] for row in rows[:n]], identity=None)
-    w = CayleyWitness("semigroup-digraph", table, {v}, tuple(range(n)))
-    return _verified(w, g)
+    return certify("semigroup-digraph", g, table, {v})
 
 
 def forest_witness(f: SimpleGraph) -> CayleyWitness:
@@ -253,7 +251,5 @@ def forest_witness(f: SimpleGraph) -> CayleyWitness:
                     arcs.add((w, u))
                     queue.append(w)
     oriented = Digraph(n, arcs)
-    base = _monoid_witness(oriented, None)
-    w = CayleyWitness("monoid-graph", base.table, base.connection,
-                      tuple(range(n)), carrier="undirected")
-    return _verified(w, f)
+    table, a = _monoid_table(oriented, None)
+    return certify("monoid-graph", f, table, {a})

@@ -3,8 +3,10 @@ collects their answers in job order."""
 
 from __future__ import annotations
 
+import errno
 import itertools
 import os
+import signal
 import time
 
 import pytest
@@ -127,4 +129,72 @@ def test_a_worker_that_dies_before_an_earlier_answer_waits_for_it():
             seen.append(value)
     assert seen == [0, 1]
     assert drawn == [0, 1, 2]
+    assert_no_child_left()
+
+
+def _answer_then_die_soon(x):
+    """Job 0 answers, then its worker is killed by an alarm 50 ms later,
+    while it waits idle for its next job."""
+    if x == 0:
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+    return x
+
+
+def test_a_worker_that_dies_while_idle_ends_the_stream_after_the_answers():
+    """Job 2 is drawn only after job 0's worker has died idle: writing the
+    job to it fails, and the error takes job 2's place."""
+    drawn = []
+
+    def jobs():
+        for i in range(4):
+            if i == 2:
+                time.sleep(0.3)
+            drawn.append(i)
+            yield i, i
+
+    seen = []
+    with pytest.raises(RuntimeError, match="ended without answering"):
+        for tag, ok, value in forked.ordered(_answer_then_die_soon, jobs(), 2):
+            seen.append(value)
+    assert seen == [0, 1]
+    assert drawn == [0, 1, 2]
+    assert_no_child_left()
+
+
+def test_a_worker_seen_dead_while_idle_ends_the_stream_after_the_answers():
+    """Job 0's worker dies idle while job 1 still runs: job 1's answer
+    still comes first, then the error."""
+    def run(x):
+        if x == 1:
+            time.sleep(0.3)
+        return _answer_then_die_soon(x)
+
+    seen = []
+    with pytest.raises(RuntimeError, match="ended without answering"):
+        for tag, ok, value in forked.ordered(run, [(0, 0), (1, 1)], 2):
+            seen.append(value)
+    assert seen == [0, 1]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("forks_before_failing", [0, 1])
+def test_a_failed_fork_is_raised_and_leaves_no_pipe(monkeypatch,
+                                                    forks_before_failing):
+    """The autouse ``no_child_left`` fixture fails this test if the pipes
+    made for the child that was never forked stay open."""
+    fork = os.fork
+    forks = []
+
+    def failing_fork():
+        if len(forks) == forks_before_failing:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with pytest.raises(OSError) as info:
+        list(forked.ordered(lambda x: x, [(i, i) for i in range(3)], 2))
+    assert info.value.errno == errno.EAGAIN
     assert_no_child_left()

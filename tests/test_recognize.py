@@ -15,6 +15,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -949,8 +950,6 @@ def test_census_search_error_reaches_the_caller_first_in_order(monkeypatch,
     exception, the first in enumeration order, even when a later class
     raises first: forked by default on two usable CPUs, or in process.
     No child process and no pipe is left behind."""
-    import time
-
     started = _two_cpus_counting_forks(monkeypatch)
     classes = list(enumerate_graphs(3, "simple"))
     recognize = recognize_module._RECOGNIZERS["monoid-graph"]
@@ -967,6 +966,35 @@ def test_census_search_error_reaches_the_caller_first_in_order(monkeypatch,
     with pytest.raises(ValueError, match="^class 1$"):
         classify_all(3, "monoid-graph", workers=workers)
     assert len(started) == (2 if workers is None else 0)
+    assert_no_child_left()
+
+
+def test_census_raises_the_first_error_before_starting_the_rest(monkeypatch,
+                                                                 tmp_path):
+    """Class 1 of the order-4 graph census fails at once on two usable
+    CPUs: its error is raised as soon as it comes up, before more than a
+    few of the nine classes after it, about 0.1 s each, have started."""
+    _two_cpus_counting_forks(monkeypatch)
+    classes = list(enumerate_graphs(4, "simple"))
+    assert len(classes) == 11
+    started = tmp_path / "started"
+    recognize = recognize_module._RECOGNIZERS["monoid-graph"]
+
+    def failing(g, budget):
+        i = classes.index(g)
+        if i == 1:
+            raise ValueError("class 1")
+        if i > 1:
+            with open(started, "a") as f:
+                f.write(f"{i}\n")
+            time.sleep(0.1)
+        return recognize(g, budget)
+
+    monkeypatch.setitem(recognize_module._RECOGNIZERS, "monoid-graph", failing)
+    with pytest.raises(ValueError, match="^class 1$"):
+        classify_all(4, "monoid-graph")
+    later = started.read_text().split() if started.exists() else []
+    assert len(later) <= 2, later
     assert_no_child_left()
 
 

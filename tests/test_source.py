@@ -1,0 +1,67 @@
+"""Static checks on the package source, parsed with ``ast``: every
+imported name is used, and every witness is built in ``witness``."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import semicayley
+
+MODULES = sorted(Path(semicayley.__file__).parent.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # names listed in __all__ are exported, which is a use
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_the_modules_are_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "witness.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert _unused_imports(_tree(path)) == []
+
+
+def test_the_unused_import_check_sees_an_unused_name():
+    tree = ast.parse("import os\nfrom typing import List, Tuple\n"
+                     "__all__ = ['Tuple']\nx: List = os.sep\nimport sys\n")
+    assert _unused_imports(tree) == [(5, "sys")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_witnesses_are_built_only_in_witness_module(path):
+    """``witness.certify`` is the one door a producer builds its witness
+    through; only it and the record parser call ``CayleyWitness``."""
+    calls = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "CayleyWitness"
+                  or getattr(node.func, "attr", None) == "CayleyWitness")]
+    if path.name == "witness.py":
+        assert len(calls) == 2
+    else:
+        assert calls == []

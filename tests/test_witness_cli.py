@@ -13,6 +13,7 @@ with ``python -m``: ``python -m semicayley gen looped-path``, and a
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import shutil
@@ -27,21 +28,33 @@ from hypothesis import strategies as st
 from conftest import (child_env, cycle_graph, functional_digraph,
                       looped_to_zero, path_graph)
 from semicayley import (
+    Budget,
     Digraph,
     MulTable,
     SimpleGraph,
+    classify_tree,
     construct_monoid,
     construct_semigroup,
+    decide_monoid,
+    decide_semigroup,
     embed_monoid,
+    embed_undirected,
+    enumerate_graphs,
     format_graph,
     format_witness_record,
     greedy_cover,
     parse_witness_record,
+    profile,
+    recognize_monoid_digraph,
+    recognize_monoid_graph,
+    recognize_semigroup_digraph,
+    sabidussi_check,
     verify_witness,
     witness_ok,
 )
 from semicayley import cli
 from semicayley.cli import MAX_ORDER, main
+from semicayley.graphs import weak_components
 from semicayley.families import gen_perfect_kary, looped_path_digraph, gen_threshold
 from semicayley.witness import CayleyWitness, WitnessRecordError
 from semicayley.zelinka import forest_witness
@@ -76,6 +89,64 @@ def test_record_roundtrip_forest_witness():
     g = cycle_graph(4)
     f = type(g)(4, [(0, 1), (1, 2)])
     roundtrip(forest_witness(f), f)
+
+
+def _producer_records():
+    """``(witness, graph)`` from every producer over small inputs: the
+    three digraph routes, the Zelinka constructions and embeddings on
+    outregular digraphs of order <= 4, the undirected search (with and
+    without generation), forests, the tree classifier and undirected
+    embeddings on simple graphs of order <= 5, and threshold graphs."""
+    def budget():
+        return Budget(max_nodes=10**7, max_seconds=None)
+
+    for n in range(1, 5):
+        for g in enumerate_graphs(n, "digraph-outregular"):
+            for route in (recognize_monoid_digraph,
+                          recognize_semigroup_digraph, sabidussi_check):
+                w = route(g, budget()).witness
+                if w is not None:
+                    yield w, g
+            k = max(g.out_degrees())
+            if k == 1:
+                p = profile(g)
+                if decide_monoid(p)[0]:
+                    yield construct_monoid(g), g
+                if decide_semigroup(p)[0]:
+                    yield construct_semigroup(g), g
+            if k >= 1:
+                yield embed_monoid(g, greedy_cover(g, k)), g
+    for n in range(1, 6):
+        for g in enumerate_graphs(n, "simple"):
+            for generated in (False, True):
+                w = recognize_monoid_graph(
+                    g, budget(), require_generated=generated).witness
+                if w is not None:
+                    yield w, g
+            if len(g.edges) == n - 1 and weak_components(g).count == 1:
+                yield forest_witness(g), g
+                w = classify_tree(g).witness
+                if w is not None:
+                    yield w, g
+            if min(g.degrees()) >= 1:
+                yield embed_undirected(g), g
+    for seq in ("", "d", "i", "dd", "di", "idid", "ddii", "iiid", "didid"):
+        g, w = gen_threshold(seq)
+        yield w, g
+
+
+def test_producer_records_frozen():
+    """One sha256 over the text record of every producer's witness on a
+    fixed corpus: how a witness is built and checked may change, the
+    records may not."""
+    digest = hashlib.sha256()
+    count = 0
+    for w, g in _producer_records():
+        digest.update(format_witness_record(w, g).encode())
+        count += 1
+    assert count == 512
+    assert digest.hexdigest() == (
+        "63d0ae806a6b9751c50c4ff6c6db74f3bc00929fdc7ddd854d84fee37abe279f")
 
 
 def test_tampered_record_fails_verification():
