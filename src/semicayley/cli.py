@@ -27,7 +27,7 @@ import os
 import sys
 from typing import Optional
 
-from .graphs import Digraph, GraphFormatError, SimpleGraph, parse_graph
+from .graphs import Digraph, SimpleGraph, parse_graph
 from .outcome import (
     BUDGET_EXCEEDED,
     CENSUS_MAX_NODES,
@@ -62,15 +62,11 @@ MAX_ORDER = {
 }
 
 
-class _CliError(Exception):
-    """Input-level failure; message goes to stderr, exit status 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract reserves 2 for budget
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _read_text(path: Optional[str]) -> str:
@@ -80,25 +76,22 @@ def _read_text(path: Optional[str]) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc.strerror}")
+        raise ValueError(f"cannot read {path}: {exc.strerror}")
 
 
 def _check_order(args, order: int) -> None:
     cap = MAX_ORDER[args.command]
     if order > cap:
-        raise _CliError(
+        raise ValueError(
             f"{args.command} accepts orders up to {cap}, got {order}")
 
 
 def _input_graph(args, want=None):
-    try:
-        g = parse_graph(_read_text(args.graph))
-    except GraphFormatError as exc:
-        raise _CliError(str(exc))
+    g = parse_graph(_read_text(args.graph))
     _check_order(args, g.order)
     if want is not None and not isinstance(g, want):
         kind = "an undirected" if want is SimpleGraph else "a directed"
-        raise _CliError(f"this subcommand needs {kind} graph")
+        raise ValueError(f"this subcommand needs {kind} graph")
     return g
 
 
@@ -158,28 +151,18 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
-    from .recognize import (
-        recognize_monoid_digraph,
-        recognize_monoid_graph,
-        recognize_semigroup_digraph,
-    )
+    from .recognize import _RECOGNIZERS
 
-    if args.mode == "monoid-graph":
-        g = _input_graph(args, SimpleGraph)
-        out = recognize_monoid_graph(
-            g,
-            _budget(args),
-            require_generated=args.require_generated,
-            max_connection=args.max_connection,
-        )
-    else:
-        g = _input_graph(args, Digraph)
-        if args.require_generated or args.max_connection is not None:
-            raise _CliError(
-                "--require-generated/--max-connection apply to monoid-graph only")
-        rec = (recognize_monoid_digraph if args.mode == "monoid-digraph"
-               else recognize_semigroup_digraph)
-        out = rec(g, _budget(args))
+    graph_mode = args.mode == "monoid-graph"
+    g = _input_graph(args, SimpleGraph if graph_mode else Digraph)
+    options = {}
+    if graph_mode:
+        options = dict(require_generated=args.require_generated,
+                       max_connection=args.max_connection)
+    elif args.require_generated or args.max_connection is not None:
+        raise ValueError(
+            "--require-generated/--max-connection apply to monoid-graph only")
+    out = _RECOGNIZERS[args.mode](g, _budget(args), **options)
     print(f"status: {out.status}")
     print(f"nodes: {out.nodes}")
     if args.max_connection is not None:
@@ -242,12 +225,12 @@ def _cmd_gen(args) -> int:
     name, p = args.family, args.params
     build, names, order = GEN_FAMILIES[name]
     if len(p) != len(names):
-        raise _CliError(f"gen {name} takes {len(names)} parameter(s)"
+        raise ValueError(f"gen {name} takes {len(names)} parameter(s)"
                         f" ({' '.join(names) or 'none'}), got {len(p)}")
     if name == "threshold":
         p = [args.seq or ""]
     if order(*p) > MAX_CARRIER_ORDER:
-        raise _CliError(f"gen builds families of up to {MAX_CARRIER_ORDER}"
+        raise ValueError(f"gen builds families of up to {MAX_CARRIER_ORDER}"
                         f" vertices; this {name} would have more")
     g = getattr(families, build)(*p)
     if isinstance(g, tuple):  # with its root, or with its witness
@@ -281,7 +264,7 @@ def _cmd_census(args) -> int:
 
     cpus = usable_cpus()
     if args.workers is not None and not 1 <= args.workers <= cpus:
-        raise _CliError(f"--workers must be between 1 and {cpus}, got {args.workers}")
+        raise ValueError(f"--workers must be between 1 and {cpus}, got {args.workers}")
     report = classify_all(
         args.order,
         args.mode,
@@ -298,12 +281,9 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify_witness(args) -> int:
-    from .witness import WitnessRecordError, parse_witness_record, verify_witness
+    from .witness import parse_witness_record, verify_witness
 
-    try:
-        w, g, _recorded = parse_witness_record(_read_text(args.record))
-    except WitnessRecordError as exc:
-        raise _CliError(str(exc))
+    w, g, _recorded = parse_witness_record(_read_text(args.record))
     _check_order(args, max(g.order, w.table.order))
     checks = verify_witness(w, g)
     ok = True
@@ -406,9 +386,6 @@ def main(argv=None) -> int:
         # final flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -882,13 +882,6 @@ _RECOGNIZERS = {
 }
 
 
-def _run_census_instance(args):
-    graph, mode, max_nodes, max_seconds = args
-    budget = Budget(max_nodes=max_nodes, max_seconds=max_seconds)
-    outcome = _RECOGNIZERS[mode](graph, budget)
-    return CensusEntry(graph, canonical_form(graph), outcome)
-
-
 def classify_all(
     order: int,
     mode: str,
@@ -916,16 +909,21 @@ def classify_all(
         raise ValueError(f"workers must be at least 1, got {workers}")
     Budget(max_nodes=max_nodes, max_seconds=max_seconds)  # checks the bounds
     kind = "simple" if mode == "monoid-graph" else "digraph-outregular"
-    graphs = enumerate_graphs(order, kind)
-    jobs = [(g, mode, max_nodes, max_seconds) for g in graphs]
+    graphs = list(enumerate_graphs(order, kind))
     from . import forked
 
+    def classify(i: int) -> CensusEntry:
+        g = graphs[i]
+        budget = Budget(max_nodes=max_nodes, max_seconds=max_seconds)
+        # the recognizer is read from the table as each class runs
+        return CensusEntry(g, canonical_form(g), _RECOGNIZERS[mode](g, budget))
+
     count = min(forked.usable_cpus() if workers is None else workers,
-                len(jobs))
+                len(graphs))
     if count > 1 and forked.may_fork():
         # a worker is handed only the index of its class
-        answers = forked.ordered(lambda i: _run_census_instance(jobs[i]),
-                                 ((i, i) for i in range(len(jobs))), count)
+        answers = forked.ordered(classify, ((i, i) for i in range(len(graphs))),
+                                 count)
         entries = []
         try:
             for _, ok, value in answers:
@@ -935,5 +933,5 @@ def classify_all(
         finally:
             answers.close()
     else:
-        entries = [_run_census_instance(job) for job in jobs]
+        entries = [classify(i) for i in range(len(graphs))]
     return CensusReport(order, mode, entries)

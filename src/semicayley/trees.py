@@ -1,13 +1,14 @@
 """Generated monoid trees: when is a tree the underlying graph of a
 Cayley digraph whose connection set generates the monoid?
 
-A rooted analysis fixes an identity candidate e and records distances,
-successor counts b_e (neighbors one step deeper), and branches (the
-subtrees hanging at e's neighbors).  A monotonicity condition on b_e is
-sufficient: deeper vertices never have more successors than shallower
-ones.  The witness monoid is then the quotient of the free word monoid
-over e's neighbors by "words walking to the same vertex", realized
-directly on the vertex set by walking canonical words.
+A rooted analysis fixes an identity candidate e and, in one BFS from e
+and one pass back over it, records distances, successor counts b_e
+(neighbors one step deeper), children ordered by subtree size, and
+branches (the subtrees hanging at e's neighbors).  A monotonicity
+condition on b_e is sufficient: deeper vertices never have more
+successors than shallower ones.  The witness monoid is then the quotient
+of the free word monoid over e's neighbors by "words walking to the same
+vertex", realized directly on the vertex set by walking canonical words.
 
 Two necessary conditions prune negatives.  The first compares every
 vertex against the previous depth level.  The second compares against
@@ -46,11 +47,16 @@ class RootedTreeAnalysis:
     tree: SimpleGraph
     root: int
     depth: Tuple[int, ...]
+    # succ_count[v] = len(children[v])
     succ_count: Tuple[int, ...]
     # branch[v] = the neighbor of the root whose subtree contains v;
     # branch[root] = root
     branch: Tuple[int, ...]
     parent: Tuple[int, ...]
+    # children[v] by subtree size descending, then id
+    children: Tuple[Tuple[int, ...], ...]
+    # every vertex in BFS order from the root, so depths never decrease
+    bfs: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,7 @@ def _check_tree(t: SimpleGraph) -> List[set]:
 
 def analyze(t: SimpleGraph, e: int) -> RootedTreeAnalysis:
     """Root the tree at candidate ``e`` and compute depth, successor
-    count and branch membership for every vertex."""
+    count, children and branch membership for every vertex."""
     adj = _check_tree(t)
     if not 0 <= e < t.order:
         raise ValueError(f"root {e} out of range")
@@ -87,62 +93,46 @@ def _rooted(t: SimpleGraph, adj: List[set], e: int) -> RootedTreeAnalysis:
     depth[e] = 0
     parent[e] = e
     branch[e] = e
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in adj[v]:
-                if depth[u] < 0:
-                    depth[u] = depth[v] + 1
-                    parent[u] = v
-                    branch[u] = u if v == e else branch[v]
-                    nxt.append(u)
-        frontier = nxt
-    succ = [sum(1 for u in adj[v] if depth[u] == depth[v] + 1) for v in range(n)]
+    bfs = [e]
+    for v in bfs:
+        for u in adj[v]:
+            if depth[u] < 0:
+                depth[u] = depth[v] + 1
+                parent[u] = v
+                branch[u] = u if v == e else branch[v]
+                bfs.append(u)
+    size = [1] * n
+    kids: List[List[int]] = [[] for _ in range(n)]
+    for v in reversed(bfs[1:]):  # every child before its parent
+        size[parent[v]] += size[v]
+        kids[parent[v]].append(v)
+    children = tuple(tuple(sorted(k, key=lambda u: (-size[u], u))) for k in kids)
     return RootedTreeAnalysis(
         tree=t,
         root=e,
         depth=tuple(depth),
-        succ_count=tuple(succ),
+        succ_count=tuple(map(len, children)),
         branch=tuple(branch),
         parent=tuple(parent),
+        children=children,
+        bfs=tuple(bfs),
     )
 
 
 def sufficient_check(a: RootedTreeAnalysis) -> bool:
     """Strictly deeper vertices never have more successors."""
-    n = a.tree.order
-    depth, b = a.depth, a.succ_count
-    maxdepth = max(depth)
-    # min of b per depth level; deeper levels must stay below all of them
-    level_min = [min((b[v] for v in range(n) if depth[v] == d), default=0)
-                 for d in range(maxdepth + 1)]
-    running = []
-    lo = None
-    for d in range(maxdepth + 1):
-        running.append(lo)
-        lo = level_min[d] if lo is None else min(lo, level_min[d])
-    for v in range(n):
-        lim = running[depth[v]]
-        if lim is not None and b[v] > lim:
+    b = a.succ_count
+    # least b over the levels shallower than v's, and over all vertices so
+    # far; a tree's successor counts stay below its order
+    lim = seen = a.tree.order
+    level = 0
+    for v in a.bfs:
+        if a.depth[v] != level:
+            level, lim = a.depth[v], seen
+        if b[v] > lim:
             return False
+        seen = min(seen, b[v])
     return True
-
-
-def _children(a: RootedTreeAnalysis) -> List[List[int]]:
-    """Children per vertex, ordered by subtree size descending then id."""
-    n = a.tree.order
-    adj = a.tree.neighbors()
-    size = [1] * n
-    by_depth = sorted(range(n), key=lambda v: -a.depth[v])
-    for v in by_depth:
-        if v != a.root:
-            size[a.parent[v]] += size[v]
-    return [
-        sorted((u for u in adj[v] if a.depth[u] == a.depth[v] + 1),
-               key=lambda u: (-size[u], u))
-        for v in range(n)
-    ]
 
 
 def construct_generated_witness(a: RootedTreeAnalysis) -> CayleyWitness:
@@ -162,7 +152,7 @@ def construct_generated_witness(a: RootedTreeAnalysis) -> CayleyWitness:
         raise ValueError("sufficient condition does not hold at this root")
     t, e = a.tree, a.root
     n = t.order
-    children = _children(a)
+    children = a.children
 
     def step(v: int, i: int) -> int:
         ch = children[v]
@@ -172,13 +162,8 @@ def construct_generated_witness(a: RootedTreeAnalysis) -> CayleyWitness:
 
     letters = range(max(map(len, children)))
     move = [[step(x, i) for i in letters] for x in range(n)]
-    # (v, parent, index of v among the parent's children), in BFS order
-    links: List[Tuple[int, int, int]] = []
-    bfs = [e]
-    for p in bfs:
-        for i, v in enumerate(children[p]):
-            links.append((v, p, i))
-            bfs.append(v)
+    # (v, parent, index of v among the parent's children), parents first
+    links = [(v, p, i) for p in a.bfs for i, v in enumerate(children[p])]
     rows = []
     for u in range(n):
         row = [0] * n
@@ -257,14 +242,12 @@ def symmetry_condition(a: RootedTreeAnalysis) -> bool:
     subtrees (Aho, Hopcroft and Ullman): c's side is coded by c, and e's
     side by e's child codes with one copy of c's code taken out.
     """
-    n = a.tree.order
     ids: Dict[tuple, int] = {}
-    kids: List[List[int]] = [[] for _ in range(n)]
-    for v in sorted(range(n), key=lambda v: -a.depth[v]):
-        code = ids.setdefault(tuple(sorted(kids[v])), len(ids))
-        if v != a.root:
-            kids[a.parent[v]].append(code)
-    root_kids = sorted(kids[a.root])
+    codes = [0] * a.tree.order
+    for v in reversed(a.bfs):
+        kids = tuple(sorted(codes[u] for u in a.children[v]))
+        codes[v] = ids.setdefault(kids, len(ids))
+    root_kids = sorted(codes[c] for c in a.children[a.root])
     for code in set(root_kids):
         rest = list(root_kids)
         rest.remove(code)
@@ -316,7 +299,9 @@ def classify_tree(
 
         out = recognize_monoid_graph(t, budget, require_generated=True)
         if out.is_witness:
-            return TreeVerdict(YES, out.witness, tuple(cands), details)
+            w = certify("generated-monoid-tree", t, out.witness.table,
+                        out.witness.connection)
+            return TreeVerdict(YES, w, tuple(cands), details)
         if out.is_no:
             return TreeVerdict(NO, None, tuple(cands), details)
     return TreeVerdict(UNDECIDED, None, tuple(cands), details)

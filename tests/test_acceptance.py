@@ -206,6 +206,19 @@ def test_a6_k4_c4_union_refuted_at_order_8():
            ok, time.perf_counter() - t0, 60.0)
 
 
+@pytest.mark.slow
+def test_a6_k4_c6_union_refuted_at_order_10():
+    """The table search refutes K4 ∪ C6 in exactly 7,821,656 nodes (about
+    10 s on 2 cores)."""
+    t0 = time.perf_counter()
+    b = budget(nodes=7_821_656)
+    out = recognize_monoid_graph(gen_K4_Cl(6), b)
+    ok = (out.status == "exhausted-no" and out.nodes == 7_821_656
+          and b.nodes == out.nodes)
+    report("A6c6", "complete-graph/6-cycle union refuted at order 10",
+           ok, time.perf_counter() - t0, 600.0)
+
+
 def test_a7_random_sink_free_embeddings():
     # Random 3-map closures on 6 points can reach tens of thousands of
     # elements, so draws whose transition monoid would not fit in a

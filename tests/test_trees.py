@@ -7,16 +7,18 @@ verdict against the exhaustive table search.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import nx_trees, path_graph, star_graph
-from semicayley import Budget, SimpleGraph, canonical_form, witness_ok
+from semicayley import (Budget, SimpleGraph, canonical_form,
+                        recognize_monoid_graph, witness_ok)
 from semicayley.families import gen_perfect_kary, gen_smallest_tree, gen_Tplus
 from semicayley.trees import (
     NO,
     UNDECIDED,
     YES,
-    _children,
     analyze,
     classify_tree,
     construct_generated_witness,
@@ -25,7 +27,8 @@ from semicayley.trees import (
     sufficient_check,
     symmetry_condition,
 )
-from semicayley.witness import generated_submonoid
+from semicayley.witness import (format_witness_record, generated_submonoid,
+                                 verify_witness)
 
 BROOM = gen_smallest_tree()
 
@@ -72,7 +75,7 @@ def _walk_table(a):
     """The walk table by its definition: u*v walks u along v's canonical
     root word, one letter at a time."""
     n, e = a.tree.order, a.root
-    children = _children(a)
+    children = a.children
     word = {e: ()}
     for v in sorted(range(n), key=lambda x: a.depth[x]):
         for i, c in enumerate(children[v]):
@@ -210,9 +213,30 @@ def test_classifier_escalation_resolves_undecided():
     budget = Budget(max_nodes=10**7, max_seconds=120.0)
     up = classify_tree(yes_tree, escalate=True, budget=budget)
     assert up.status == YES and witness_ok(up.witness, yes_tree)
+    # the search's table, certified as what the verdict claims
+    assert up.witness.mode == "generated-monoid-tree"
+    assert verify_witness(up.witness, yes_tree)["generated"]
     down = classify_tree(no_tree, escalate=True,
                          budget=Budget(max_nodes=10**7, max_seconds=120.0))
     assert down.status == NO
+
+
+def test_classifier_agrees_with_the_search_up_to_order_7():
+    """Every YES and NO of the unescalated classifier is the search's
+    answer with the generation requirement.  Statuses only: a prune on
+    generation would move the node counts."""
+    answers = {YES: "witness", NO: "exhausted-no"}
+    decided = 0
+    for n in range(1, 8):
+        for t in nx_trees(n):
+            verdict = classify_tree(t)
+            if verdict.status in answers:
+                out = recognize_monoid_graph(
+                    t, Budget(max_nodes=10**7, max_seconds=None),
+                    require_generated=True)
+                assert out.status == answers[verdict.status], sorted(t.edges)
+                decided += 1
+    assert decided == 25
 
 
 def test_classifier_verdict_details_recorded():
@@ -258,3 +282,42 @@ def test_classifier_checks_the_tree_once(monkeypatch):
     verdict = classify_tree(t)
     assert verdict.status == NO and len(verdict.details) > 1
     assert len(calls) == 1
+
+
+def _verdict_facts(t):
+    v = classify_tree(t)
+    yield repr((v.status, v.candidates, sorted(v.details.items())))
+    if v.witness is not None:
+        yield format_witness_record(v.witness, t)
+
+
+def _classifier_facts():
+    """Every fact the classifier derives: its verdict, details and
+    witness record on each tree of order at most 11, every rooted field
+    and condition at each of their roots, and the verdicts on three
+    large trees."""
+    for n in range(1, 12):
+        for t in nx_trees(n):
+            yield from _verdict_facts(t)
+            for e in range(n):
+                a = analyze(t, e)
+                yield repr((e, a.depth, a.succ_count, a.branch, a.parent,
+                            sufficient_check(a), symmetry_condition(a),
+                            necessary_check(a, symmetry_free=True),
+                            necessary_check(a, symmetry_free=False)))
+    for t, _root in (gen_perfect_kary(2, 8), gen_Tplus(3, 4),
+                     gen_perfect_kary(3, 5)):
+        yield from _verdict_facts(t)
+
+
+def test_classifier_facts_frozen():
+    """One sha256 over every fact the classifier derives on a fixed
+    corpus: how a rooted tree is walked may change, the facts may not."""
+    digest = hashlib.sha256()
+    trees = 0
+    for fact in _classifier_facts():
+        digest.update(fact.encode())
+        trees += fact.startswith("('")
+    assert trees == 439
+    assert digest.hexdigest() == (
+        "a4547bda11b5ee03c4b2f379f2b68febb5009bf25c51263bc83ad074cd8e1a60")

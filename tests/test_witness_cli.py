@@ -341,6 +341,35 @@ def test_cli_tree_classify_undecided_and_no(monkeypatch, capsys):
     assert code == 0 and "verdict: no" in out
 
 
+def test_cli_tree_classify_escalated_yes_is_certified_generated(
+        monkeypatch, capsys):
+    code, out, _ = run_cli(
+        ["tree-classify", "--escalate"],
+        "8 undirected\n0 1\n0 5\n0 7\n1 2\n1 4\n2 3\n5 6\n",
+        monkeypatch, capsys)
+    assert code == 0 and out.startswith("verdict: yes\n")
+    record = out[out.index("cayley-witness"):]
+    assert "mode: generated-monoid-tree\n" in record
+    assert "check generated: true\n" in record
+    w, g, recorded = parse_witness_record(record)
+    assert all(recorded.values()) and witness_ok(w, g)
+
+
+def test_cli_recognize_runs_every_census_mode(monkeypatch, capsys):
+    """``recognize --mode`` and the census read one mode table: a mode
+    added to only one of them fails here."""
+    from semicayley import outcome, recognize
+
+    assert tuple(recognize._RECOGNIZERS) == outcome.CENSUS_MODES
+    for mode in outcome.CENSUS_MODES:
+        kind = "undirected" if mode == "monoid-graph" else "directed"
+        code, out, _ = run_cli(["recognize", "--mode", mode], f"1 {kind}\n",
+                               monkeypatch, capsys)
+        assert code == 0 and out.startswith("status: witness\n")
+        w, g, recorded = parse_witness_record(out[out.index("cayley-witness"):])
+        assert w.mode == mode and all(recorded.values())
+
+
 def test_cli_census_summary_on_stderr(capsys):
     code = main(["census", "3", "--mode", "semigroup-digraph"])
     out, err = capsys.readouterr()
