@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import Digraph, SimpleGraph
+from .graphs import Digraph, FrozenValue, SimpleGraph
 
 __all__ = [
     "MulTable",
@@ -25,8 +24,7 @@ __all__ = [
 _NUMPY_VALIDATE_MIN = 64
 
 
-@dataclass(frozen=True)
-class MulTable:
+class MulTable(FrozenValue):
     """n x n product table over element indices 0..n-1.
 
     ``identity`` is the index of a claimed two-sided identity, or None for a
@@ -36,7 +34,7 @@ class MulTable:
 
     order: int
     rows: tuple
-    identity: Optional[int] = None
+    identity: Optional[int]
 
     def __init__(self, order: int, rows, identity: Optional[int] = None):
         if order < 1:
@@ -50,17 +48,17 @@ class MulTable:
                     raise ValueError(f"entry {x} out of range")
         if identity is not None and not 0 <= identity < order:
             raise ValueError("identity index out of range")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", norm)
-        object.__setattr__(self, "identity", identity)
+        self.__dict__.update(order=order, rows=norm, identity=identity)
 
 
-@dataclass(frozen=True)
-class TableViolation:
+class TableViolation(FrozenValue):
     """First law violation found: kind 'associativity' or 'identity'."""
 
     kind: str
     triple: tuple
+
+    def __init__(self, kind: str, triple: tuple):
+        self.__dict__.update(kind=kind, triple=triple)
 
 
 class InvalidTableError(ValueError):

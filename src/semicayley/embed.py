@@ -17,11 +17,10 @@ bound is below 1, a ``ValueError``, when ``max_maps < 1`` or
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .algebra import MulTable
-from .graphs import Digraph, SimpleGraph
+from .graphs import Digraph, FrozenValue, SimpleGraph
 from .invariants import orientation_with_outdegree, pseudoarboricity
 from .outcome import DEFAULT_MAX_MAPS, MAX_CARRIER_ORDER, BudgetExceededError
 from .witness import CayleyWitness, certify
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FunctionFamily:
+class FunctionFamily(FrozenValue):
     """A sequence of endofunctions on {0..order-1}, stored as tuples.
 
     Against a target digraph the family must satisfy: every (v, f(v)) is
@@ -47,12 +45,13 @@ class FunctionFamily:
     order: int
     maps: Tuple[tuple, ...]
 
-    def __post_init__(self):
-        for i, f in enumerate(self.maps):
-            if len(f) != self.order:
-                raise ValueError(f"map {i} has length {len(f)} != {self.order}")
-            if any(not (0 <= x < self.order) for x in f):
+    def __init__(self, order: int, maps: Tuple[tuple, ...]):
+        for i, f in enumerate(maps):
+            if len(f) != order:
+                raise ValueError(f"map {i} has length {len(f)} != {order}")
+            if any(not (0 <= x < order) for x in f):
                 raise ValueError(f"map {i} has values out of range")
+        self.__dict__.update(order=order, maps=maps)
 
 
 def family_violation(fam: FunctionFamily, g: Digraph) -> Optional[tuple]:

@@ -2,14 +2,15 @@
 
 Vertices are dense integers ``0..n-1`` everywhere.  Two carriers appear:
 directed graphs (loops allowed, no parallel arcs) and simple undirected
-graphs.  Both are immutable after construction.
+graphs.  Both are immutable after construction.  ``Value`` and
+``FrozenValue``, the base of every value class in the package, are here too.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterator, Union
 
 __all__ = [
@@ -28,6 +29,54 @@ __all__ = [
 ]
 
 
+# ---------------------------------------------------------------------------
+# value classes.  A class's fields are its annotated class attributes, in
+# order, and each class writes its own ``__init__``; a frozen one sets its
+# fields with ``self.__dict__.update``.  Equality, hashing and ``repr`` are
+# those of a ``dataclass`` with the same fields, without loading
+# ``dataclasses`` (and with it ``inspect``, ``ast`` and ``dis``) in every
+# process.  ``pickle`` and ``copy`` restore ``__dict__`` directly.  The
+# base lives here because every module with a value class imports this one.
+
+class Value:
+    """Fields compare equal in order between instances of the same class;
+    the ``repr`` is ``Name(field=value, ...)`` over the fields whose names
+    do not start with an underscore.  Mutable, so unhashable."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if cls._fields:
+            # one call that returns the tuple of field values
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}"
+                          for f in self._fields if not f.startswith("_"))
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class FrozenValue(Value):
+    """A ``Value`` that hashes as the tuple of its fields and refuses
+    assignment and deletion with ``AttributeError``."""
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class GraphFormatError(ValueError):
     """Malformed graph text; carries the 1-based offending line number."""
 
@@ -36,8 +85,7 @@ class GraphFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(FrozenValue):
     """Directed graph on ``0..order-1``: loops allowed, no parallel arcs."""
 
     order: int
@@ -50,8 +98,7 @@ class Digraph:
         for u, v in norm:
             if not (0 <= u < order and 0 <= v < order):
                 raise ValueError(f"arc ({u},{v}) out of range for order {order}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "arcs", norm)
+        self.__dict__.update(order=order, arcs=norm)
 
     def out_neighbors(self) -> list:
         out = [set() for _ in range(self.order)]
@@ -80,8 +127,7 @@ class Digraph:
         return succ
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(FrozenValue):
     """Simple undirected graph: no loops, no parallel edges."""
 
     order: int
@@ -98,8 +144,7 @@ class SimpleGraph:
             if not (0 <= u < order and 0 <= v < order):
                 raise ValueError(f"edge ({u},{v}) out of range for order {order}")
             norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "edges", frozenset(norm))
+        self.__dict__.update(order=order, edges=frozenset(norm))
 
     def neighbors(self) -> list:
         adj = [set() for _ in range(self.order)]
@@ -179,12 +224,14 @@ def format_graph(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # components and connectivity
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
+class ComponentDecomposition(FrozenValue):
     """Weak components; ids are dense and ordered by smallest member vertex."""
 
     component: tuple
     count: int
+
+    def __init__(self, component: tuple, count: int):
+        self.__dict__.update(component=component, count=count)
 
     def members(self, i: int) -> list:
         return [v for v, c in enumerate(self.component) if c == i]

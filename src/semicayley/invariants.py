@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .graphs import Digraph, SimpleGraph, _masks, _MaxFlow
+from .graphs import Digraph, FrozenValue, SimpleGraph, _masks, _MaxFlow
+
+if TYPE_CHECKING:
+    # imported where a bound is computed: ``fractions`` loads ``decimal``
+    # and ``numbers``, which a process that computes no bound skips
+    from fractions import Fraction
 
 __all__ = [
     "arboricity",
@@ -221,8 +224,7 @@ def beta(g: SimpleGraph, k: int, budget: int = _BETA_BUDGET) -> int:
 # ---------------------------------------------------------------------------
 # spectra and the (n, d, lambda) bounds
 
-@dataclass(frozen=True)
-class SpectralProfile:
+class SpectralProfile(FrozenValue):
     """Adjacency spectrum with the (n, d, lambda) reading when regular.
 
     ``lam`` is the largest absolute eigenvalue after discarding one copy of
@@ -232,8 +234,13 @@ class SpectralProfile:
 
     order: int
     eigenvalues: tuple
-    degree: Optional[int] = None
-    lam: Optional[float] = None
+    degree: Optional[int]
+    lam: Optional[float]
+
+    def __init__(self, order: int, eigenvalues: tuple,
+                 degree: Optional[int] = None, lam: Optional[float] = None):
+        self.__dict__.update(order=order, eigenvalues=eigenvalues,
+                             degree=degree, lam=lam)
 
 
 def spectrum(g: SimpleGraph) -> SpectralProfile:
@@ -265,6 +272,8 @@ def synthetic_profile(order: int, degree: int, lam: float) -> SpectralProfile:
 
 def _lam_rational(lam: float) -> Fraction:
     """Round lambda up at 1e-8 granularity so bounds stay conservative."""
+    from fractions import Fraction
+
     return Fraction(math.ceil(lam * 10**8), 10**8)
 
 
@@ -274,13 +283,15 @@ def beta_upper_bound(p: SpectralProfile, k: int) -> Fraction:
         raise ValueError("upper bound needs a regular profile")
     if p.degree == 0:
         raise ValueError("upper bound needs degree >= 1")
-    return Fraction(p.order, p.degree) * (_lam_rational(p.lam) + 2 * k)
+    return (_lam_rational(p.lam) + 2 * k) * p.order / p.degree
 
 
 def beta_lower_bound(order: int, min_degree: int, max_degree: int,
                      k: int) -> Fraction:
     """(n/(max_degree-1)) * (min_degree/2 - k - 1); hypotheses include a
     triangle-free join target, checked by the certificate builder."""
+    from fractions import Fraction
+
     if max_degree < 2:
         raise ValueError("lower bound needs max degree >= 2")
     return (Fraction(order, max_degree - 1)
@@ -294,7 +305,7 @@ def connectivity_bound(p: SpectralProfile) -> int:
     if p.degree == 0:
         return 0
     lam = _lam_rational(p.lam)
-    bound = (p.degree - lam) ** 2 / Fraction(p.degree) + 1
+    bound = (p.degree - lam) ** 2 / p.degree + 1
     k = math.ceil(bound) - 1     # largest integer strictly below bound
     return max(k, 0)
 
@@ -304,8 +315,7 @@ def _has_triangle(g: SimpleGraph) -> bool:
     return any(adj[u] & adj[v] for u, v in g.edges)
 
 
-@dataclass(frozen=True)
-class NonmonoidCertificate:
+class NonmonoidCertificate(FrozenValue):
     """Outcome of confronting the beta bounds for a joined representation.
 
     ``certified`` holds only when every hypothesis holds and the lower
@@ -318,6 +328,11 @@ class NonmonoidCertificate:
     hypotheses: dict
     lower: Optional[Fraction]
     upper: Optional[Fraction]
+
+    def __init__(self, certified: bool, hypotheses: dict,
+                 lower: Optional[Fraction], upper: Optional[Fraction]):
+        self.__dict__.update(certified=certified, hypotheses=hypotheses,
+                             lower=lower, upper=upper)
 
 
 def _gap_certificate(p: SpectralProfile, k: int, ell: int,

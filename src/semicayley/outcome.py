@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Optional
+
+from .graphs import Value
 
 WITNESS = "witness"
 EXHAUSTED_NO = "exhausted-no"
@@ -28,8 +29,7 @@ class BudgetExceededError(RuntimeError):
     """Raised internally when a search exhausts its node or time budget."""
 
 
-@dataclass
-class Budget:
+class Budget(Value):
     """Mutable node/time budget threaded through a search.
 
     ``nodes`` counts explored search-tree nodes.  A search either calls
@@ -40,19 +40,25 @@ class Budget:
     limit is a ``ValueError``.
     """
 
-    max_nodes: int = DEFAULT_MAX_NODES
-    max_seconds: Optional[float] = DEFAULT_MAX_SECONDS
-    nodes: int = 0
-    _deadline: Optional[float] = field(default=None, init=False, repr=False)
+    max_nodes: int
+    max_seconds: Optional[float]
+    nodes: int
+    _deadline: Optional[float]
 
-    def __post_init__(self) -> None:
-        if self.max_nodes < 0:
-            raise ValueError(f"node budget must be >= 0, got {self.max_nodes}")
-        if self.max_seconds is not None:
-            if not self.max_seconds >= 0:  # NaN too
+    def __init__(self, max_nodes: int = DEFAULT_MAX_NODES,
+                 max_seconds: Optional[float] = DEFAULT_MAX_SECONDS,
+                 nodes: int = 0):
+        if max_nodes < 0:
+            raise ValueError(f"node budget must be >= 0, got {max_nodes}")
+        self.max_nodes = max_nodes
+        self.max_seconds = max_seconds
+        self.nodes = nodes
+        self._deadline = None
+        if max_seconds is not None:
+            if not max_seconds >= 0:  # NaN too
                 raise ValueError(
-                    f"time budget must be >= 0 seconds, got {self.max_seconds}")
-            self._deadline = time.monotonic() + self.max_seconds
+                    f"time budget must be >= 0 seconds, got {max_seconds}")
+            self._deadline = time.monotonic() + max_seconds
 
     def tick(self) -> None:
         self.nodes += 1
@@ -92,13 +98,17 @@ class Budget:
         return budget
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(Value):
     """Result of an exhaustive search: witness, certified no, or budget hit."""
 
     status: str
-    witness: object = None
-    nodes: int = 0
+    witness: object
+    nodes: int
+
+    def __init__(self, status: str, witness: object = None, nodes: int = 0):
+        self.status = status
+        self.witness = witness
+        self.nodes = nodes
 
     @property
     def is_witness(self) -> bool:

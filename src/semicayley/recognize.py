@@ -25,7 +25,6 @@ exhausted search certifies a negative answer:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import MulTable
@@ -33,6 +32,7 @@ from .graphs import (
     Digraph,
     Graph,
     SimpleGraph,
+    Value,
     _masks,
     canonical_form,
     enumerate_graphs,
@@ -847,18 +847,26 @@ def sabidussi_check(g: Digraph, budget: Optional[Budget] = None) -> SearchOutcom
 # -- census ----------------------------------------------------------------
 
 
-@dataclass
-class CensusEntry:
+class CensusEntry(Value):
     graph: object
     key: bytes
     outcome: SearchOutcome
 
+    def __init__(self, graph: object, key: bytes, outcome: SearchOutcome):
+        self.graph = graph
+        self.key = key
+        self.outcome = outcome
 
-@dataclass
-class CensusReport:
+
+class CensusReport(Value):
     order: int
     mode: str
     entries: List[CensusEntry]
+
+    def __init__(self, order: int, mode: str, entries: List[CensusEntry]):
+        self.order = order
+        self.mode = mode
+        self.entries = entries
 
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}

@@ -26,11 +26,10 @@ the exhaustive table search with a generation check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import MulTable
-from .graphs import SimpleGraph, weak_components
+from .graphs import FrozenValue, SimpleGraph, weak_components
 from .outcome import Budget
 from .witness import CayleyWitness, WitnessCheckError, certify
 
@@ -39,8 +38,7 @@ NO = "no"
 UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class RootedTreeAnalysis:
+class RootedTreeAnalysis(FrozenValue):
     """A tree rooted at an identity candidate, with the derived fields
     the tree conditions quantify over."""
 
@@ -58,15 +56,28 @@ class RootedTreeAnalysis:
     # every vertex in BFS order from the root, so depths never decrease
     bfs: Tuple[int, ...]
 
+    def __init__(self, tree: SimpleGraph, root: int, depth: Tuple[int, ...],
+                 succ_count: Tuple[int, ...], branch: Tuple[int, ...],
+                 parent: Tuple[int, ...],
+                 children: Tuple[Tuple[int, ...], ...],
+                 bfs: Tuple[int, ...]):
+        self.__dict__.update(tree=tree, root=root, depth=depth,
+                             succ_count=succ_count, branch=branch,
+                             parent=parent, children=children, bfs=bfs)
 
-@dataclass(frozen=True)
-class TreeVerdict:
+
+class TreeVerdict(FrozenValue):
     status: str
     witness: Optional[CayleyWitness]
     candidates: Tuple[int, ...]
     # per-candidate detail: ("sufficient",) | ("part1", x) | ("part2", x, c)
     # | ("open",)
     details: Dict[int, tuple]
+
+    def __init__(self, status: str, witness: Optional[CayleyWitness],
+                 candidates: Tuple[int, ...], details: Dict[int, tuple]):
+        self.__dict__.update(status=status, witness=witness,
+                             candidates=candidates, details=details)
 
 
 def _check_tree(t: SimpleGraph) -> List[set]:
@@ -174,11 +185,6 @@ def construct_generated_witness(a: RootedTreeAnalysis) -> CayleyWitness:
     # the sufficient condition is what makes this associative; certify
     # checks that with the rest of the witness
     table = MulTable(n, tuple(rows), identity=e)
-    # colored agreement: multiplying by the i-th letter is the i-th step
-    for x in range(n):
-        for i, c in enumerate(children[e]):
-            if rows[x][c] != step(x, i):
-                raise WitnessCheckError("colored arcs disagree with labeling")
     return certify("generated-monoid-tree", t, table, children[e])
 
 

@@ -13,13 +13,12 @@ the algebra-level constructors still insist on non-empty sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (MulTable, cayley_arc_set, format_table, parse_table,
                       underlying_graph, validate_table)
-from .graphs import (Digraph, GraphFormatError, SimpleGraph, format_graph,
-                     parse_graph, weak_components)
+from .graphs import (Digraph, FrozenValue, GraphFormatError, SimpleGraph,
+                     format_graph, parse_graph, weak_components)
 
 __all__ = [
     "CayleyWitness",
@@ -44,8 +43,7 @@ MODES = (
 )
 
 
-@dataclass(frozen=True)
-class CayleyWitness:
+class CayleyWitness(FrozenValue):
     """Certificate that a graph is (or embeds in) a Cayley graph.
 
     ``vertex_map`` sends each graph vertex to its table element.  For the
@@ -62,8 +60,8 @@ class CayleyWitness:
     table: MulTable
     connection: frozenset
     vertex_map: tuple
-    carrier: str = "directed"
-    component: Optional[tuple] = None
+    carrier: str
+    component: Optional[tuple]
 
     def __init__(self, mode, table, connection, vertex_map, carrier="directed",
                  component=None):
@@ -76,13 +74,10 @@ class CayleyWitness:
             if not 0 <= x < table.order:
                 raise ValueError(f"connection element {x} out of range")
         vm = tuple(int(x) for x in vertex_map)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "connection", conn)
-        object.__setattr__(self, "vertex_map", vm)
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "component",
-                           None if component is None else tuple(sorted(component)))
+        self.__dict__.update(
+            mode=mode, table=table, connection=conn, vertex_map=vm,
+            carrier=carrier,
+            component=None if component is None else tuple(sorted(component)))
 
 
 def generated_submonoid(table: MulTable, connection) -> frozenset:

@@ -14,11 +14,10 @@ component towards a root and adding a loop.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .algebra import MulTable
-from .graphs import Digraph, SimpleGraph, weak_components
+from .graphs import Digraph, FrozenValue, SimpleGraph, weak_components
 from .witness import CayleyWitness, WitnessCheckError, certify
 
 __all__ = [
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComponentShape:
+class ComponentShape(FrozenValue):
     """One weak component: its vertices, unique cycle, z and max depth."""
 
     vertices: tuple
@@ -43,9 +41,11 @@ class ComponentShape:
     z: int
     depth: int
 
+    def __init__(self, vertices: tuple, cycle: tuple, z: int, depth: int):
+        self.__dict__.update(vertices=vertices, cycle=cycle, z=z, depth=depth)
 
-@dataclass(frozen=True)
-class OutregularProfile:
+
+class OutregularProfile(FrozenValue):
     """Shape summary of a 1-outregular digraph."""
 
     order: int
@@ -53,6 +53,11 @@ class OutregularProfile:
     component: tuple          # vertex -> component id
     components: tuple         # ComponentShape per id
     vertex_depth: tuple       # l(v): distance from v to its cycle
+
+    def __init__(self, order: int, succ: tuple, component: tuple,
+                 components: tuple, vertex_depth: tuple):
+        self.__dict__.update(order=order, succ=succ, component=component,
+                             components=components, vertex_depth=vertex_depth)
 
 
 def profile(g: Digraph) -> OutregularProfile:

@@ -65,3 +65,16 @@ def test_witnesses_are_built_only_in_witness_module(path):
         assert len(calls) == 2
     else:
         assert calls == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """``dataclasses`` loads ``inspect``, ``ast`` and ``dis``, several
+    milliseconds of every CLI process; the value classes build on
+    ``value.FrozenValue`` and ``value.Value`` instead."""
+    names = [(node.lineno, alias.name) for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [(node.lineno, node.module) for node in ast.walk(_tree(path))
+              if isinstance(node, ast.ImportFrom)]
+    assert [(line, name) for line, name in names
+            if name and name.split(".")[0] == "dataclasses"] == []

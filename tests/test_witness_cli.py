@@ -8,7 +8,9 @@ package the suite imports; the other runs the ``semicayley`` executable on
 ``PATH`` and is skipped where none is installed. Two more run the package
 with ``python -m``: ``python -m semicayley gen looped-path``, and a
 ``recognize`` whose search goes 36 cells deep, and one more runs
-``tree-classify`` into a pipe that is closed after the first line.
+``tree-classify`` into a pipe that is closed after the first line.  Each
+subcommand of the benchmark's CLI mix runs once under ``-X importtime``
+to check the modules its process loads.
 """
 
 from __future__ import annotations
@@ -721,6 +723,57 @@ def test_cli_recognize_deep_search(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout.startswith("status: witness\n")
+
+
+# the seven subcommands of the benchmark's CLI mix, each on a tiny input,
+# and the modules beyond dataclasses and inspect that each must not load:
+# fractions serves only the spectral bounds, which a non-regular graph
+# never reaches
+_P3 = "3 undirected\n0 1\n1 2\n"
+_LOOPED = "2 directed\n0 1\n1 1\n"
+START_UP_RUNS = {
+    "check-zelinka": (["check-zelinka"], _LOOPED, ()),
+    "construct-zelinka": (["construct-zelinka", "--mode", "monoid"], _LOOPED,
+                          ()),
+    "embed": (["embed", "--max-maps", "300"], "2 directed\n0 1\n1 0\n",
+              ("fractions",)),
+    "tree-classify": (["tree-classify"], _P3, ()),
+    "recognize": (["recognize", "--mode", "monoid-graph"], _P3, ()),
+    "invariants": (["invariants"], _P3, ("fractions",)),
+    "verify-witness": (["verify-witness"], None, ()),
+}
+
+
+def _imported(args, stdin: str):
+    """Exit code of ``python -X importtime *args`` and the names of the
+    modules it imported, read off its import-time report."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          input=stdin, capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    return proc.returncode, {line.rsplit("|", 1)[1].strip()
+                             for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
+@pytest.fixture(scope="module")
+def bare_interpreter_imports():
+    return _imported(["-c", "pass"], "")[1]
+
+
+@pytest.mark.parametrize("sub", START_UP_RUNS)
+def test_cli_start_up_loads_no_dataclasses(sub, bare_interpreter_imports):
+    """``dataclasses`` and ``inspect`` cost every CLI process several
+    milliseconds; no subcommand loads them beyond what the interpreter's
+    own start-up loads."""
+    argv, stdin, unwanted = START_UP_RUNS[sub]
+    if stdin is None:
+        g = SimpleGraph(3, [(0, 1), (1, 2)])
+        stdin = format_witness_record(recognize_monoid_graph(g).witness, g)
+    code, loaded = _imported(["-m", "semicayley.cli", *argv], stdin)
+    assert code == 0
+    assert "semicayley.graphs" in loaded
+    extra = loaded - bare_interpreter_imports
+    assert not extra & {"dataclasses", "inspect", *unwanted}
 
 
 def _cli_child(argv, cwd):
