@@ -9,7 +9,6 @@ graphs.  Both are immutable after construction.  ``Value`` and
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from operator import attrgetter
 from typing import Dict, Iterator, Union
 
@@ -287,122 +286,83 @@ def is_strongly_connected(g: Digraph) -> bool:
     return _reach(out, 1) == full and _reach(inn, 1) == full
 
 
-class _MaxFlow:
-    """Dinic max-flow on a small integer-capacity network."""
+def _disjoint_paths(steps: list, s: int, t: int, limit: int) -> int:
+    """Number of internally vertex-disjoint s -> t paths, up to ``limit``,
+    for s and t with no arc s -> t.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.graph = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.graph[u]:
-                if e[1] > 0 and self.level[e[0]] == -1:
-                    self.level[e[0]] = self.level[u] + 1
-                    queue.append(e[0])
-        return self.level[t] != -1
-
-    def _augment(self, s: int, t: int, f: int) -> int:
-        """Push up to f units along one s -> t path of the level graph:
-        Dinic's depth-first search, on an explicit stack so that a deep
-        level graph cannot exhaust the recursion limit."""
-        path = []                   # (tail, edge) from s to u
-        u = s
-        while u != t:
-            edges = self.graph[u]
-            i = self.it[u]
-            nxt = self.level[u] + 1
-            while i < len(edges) and not (edges[i][1] > 0
-                                          and self.level[edges[i][0]] == nxt):
-                i += 1
-            self.it[u] = i
-            if i < len(edges):
-                path.append((u, edges[i]))
-                u = edges[i][0]
-            elif path:
-                u = path.pop()[0]
-                self.it[u] += 1
-            else:
-                return 0
-        d = min([f] + [e[1] for _, e in path])
-        for _, e in path:
-            e[1] -= d
-            self.graph[e[0]][e[2]][1] += d
-        return d
-
-    def max_flow(self, s: int, t: int, limit: int = 1 << 30) -> int:
-        flow = 0
-        while flow < limit and self._bfs(s, t):
-            self.it = [0] * self.n
-            while flow < limit:
-                f = self._augment(s, t, limit - flow)
-                if f == 0:
-                    break
-                flow += f
-        return flow
-
-    def source_side(self, s: int) -> int:
-        """Bitmask of the vertices reachable from s in the residual network."""
-        masks = [0] * self.n
-        for u, edges in enumerate(self.graph):
-            for e in edges:
-                if e[1] > 0:
-                    masks[u] |= 1 << e[0]
-        return _reach(masks, 1 << s)
+    Each augmenting path is one BFS over the states 2v (in side) and
+    2v + 1 (out side) of the vertex-split network, which is never built.
+    An out side leads to the in sides ``steps[v]``: its own and its
+    heads'.  An in side leads to ``pred[v]``'s out side, where ``pred[v]``
+    is the vertex before v on its path, or v itself while v is on none.
+    A loop repeats one of these steps."""
+    pred = list(range(len(steps)))
+    start, goal = 2 * s + 1, 2 * t
+    for paths in range(limit):
+        parent = [-1] * (2 * len(steps))
+        parent[start] = start
+        queue = [start]
+        for x in queue:
+            v = x >> 1
+            for y in steps[v] if x & 1 else (2 * pred[v] + 1,):
+                if parent[y] < 0:
+                    parent[y] = x
+                    queue.append(y)
+            if parent[goal] >= 0:
+                break
+        else:
+            return paths
+        # each in side on the new path takes the vertex it was entered
+        # from: its own when the path turns back through v
+        y = goal
+        while y != start:
+            x = parent[y]
+            if not y & 1:
+                pred[y >> 1] = x >> 1
+            y = x
+    return limit
 
 
-def _split_flow(n: int, arcs, u: int, v: int) -> int:
-    """Max number of internally vertex-disjoint directed u->v paths."""
-    big = n + 1
-    mf = _MaxFlow(2 * n)
-    for w in range(n):
-        if w != u and w != v:
-            mf.add_edge(2 * w, 2 * w + 1, 1)
-    for a, b in arcs:
-        mf.add_edge(2 * a + 1, 2 * b, big)
-    return mf.max_flow(2 * u + 1, 2 * v, limit=n)
-
-
-def _min_vertex_cut(n: int, arcs, pairs) -> int:
-    """Least number of internally vertex-disjoint paths over the
-    (source, target) ``pairs``, and n - 1 when there are none."""
+def _even_cut(out: list, directed: bool) -> int:
+    """Least count of internally vertex-disjoint paths over Even's pair
+    set, or n - 1 when it is empty.  The first vertex i outside a minimum
+    separator S has i <= kappa, and S cuts it from some later j (one way
+    at least, on a digraph); so the pairs (i, j), j > i, with no arc
+    i -> j (or j -> i, on a digraph) suffice for i up to the best cut so
+    far, and each flow stops at that best."""
+    n = len(out)
     if n < 2:
         raise ValueError("connectivity needs order >= 2")
     best = n - 1
-    for u, v in pairs:
-        best = min(best, _split_flow(n, arcs, u, v))
-        if best == 0:
-            return 0
+    steps = [[2 * v] + [2 * w for w in heads] for v, heads in enumerate(out)]
+    i = 0
+    while i <= best:
+        for j in range(i + 1, n):
+            for s, t in ((i, j), (j, i)) if directed else ((i, j),):
+                if t not in out[s]:
+                    best = _disjoint_paths(steps, s, t, best)
+                    if best == 0:
+                        return 0
+        i += 1
     return best
 
 
 def strong_connectivity(g: Digraph) -> int:
     """Largest kappa with every directed vertex cut of size >= kappa and
-    kappa + 1 <= order.  Computed by min vertex cut over non-arc pairs."""
-    n = g.order
+    kappa + 1 <= order.  Cost: at most 2 (kappa + 1)(n - 1) flows on
+    Even's pair set, each of at most b + 1 BFS passes of O(n + m), b the
+    best cut so far.  Tested to order 1,000 (the directed 1,000-cycle)."""
     if not is_strongly_connected(g):
         raise ValueError("digraph is not strongly connected")
-    return _min_vertex_cut(n, g.arcs, [
-        (u, v) for u in range(n) for v in range(n)
-        if u != v and (u, v) not in g.arcs])
+    return _even_cut(g.out_neighbors(), directed=True)
 
 
 def vertex_connectivity(g: SimpleGraph) -> int:
-    """Min vertex cut over non-adjacent pairs: 0 when disconnected, since
-    some such pair lies in two components, and n - 1 for K_n."""
-    n = g.order
-    arcs = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
-    return _min_vertex_cut(n, arcs, [
-        pair for pair in itertools.combinations(range(n), 2)
-        if pair not in g.edges])
+    """Least vertex cut: 0 when disconnected, n - 1 for K_n.  Cost: at
+    most (kappa + 1)(n - 1) flows on Even's pair set, each of at most
+    b + 1 BFS passes of O(n + m), b the best cut so far.  Tested to order
+    1,500 (the 1,500-vertex path) and on the 1,000-cycle."""
+    return _even_cut(g.neighbors(), directed=False)
 
 
 # ---------------------------------------------------------------------------

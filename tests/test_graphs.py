@@ -37,7 +37,7 @@ from semicayley import (
 )
 from semicayley.families import gen_K4_Cl, looped_path_digraph
 from semicayley.graphs import (
-    _split_flow,
+    _disjoint_paths,
     is_strongly_connected,
     strong_connectivity,
     vertex_connectivity,
@@ -596,11 +596,22 @@ def test_vertex_connectivity_known_values(g, expect):
 
 
 def test_split_flow_on_a_deep_level_graph():
-    """The flow's depth-first search walks 3,000 levels without recursing."""
+    """The augmenting search walks 3,000 split states without recursing."""
     n = 1500
-    g = path_graph(n)
-    arcs = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
-    assert _split_flow(n, arcs, 0, n - 1) == 1
+    steps = [[2 * v] + [2 * w for w in heads]
+             for v, heads in enumerate(path_graph(n).neighbors())]
+    assert _disjoint_paths(steps, 0, n - 1, n) == 1
+
+
+@pytest.mark.parametrize("connectivity,g,expect", [
+    (vertex_connectivity, path_graph(1500), 1),
+    (vertex_connectivity, cycle_graph(1000), 2),
+    (strong_connectivity,
+     Digraph(1000, [(i, (i + 1) % 1000) for i in range(1000)]), 1),
+], ids=["path-1500", "cycle-1000", "directed-cycle-1000"])
+def test_connectivity_at_a_thousand_vertices_and_more(connectivity, g, expect):
+    """Even's pair set needs about (kappa + 1) n flows here, not n^2 / 2."""
+    assert connectivity(g) == expect
 
 
 def test_vertex_connectivity_rejects_trivial_order():
@@ -608,12 +619,48 @@ def test_vertex_connectivity_rejects_trivial_order():
         vertex_connectivity(SimpleGraph(1))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_vertex_connectivity_matches_brute_force(data):
-    n = data.draw(st.integers(2, 6))
+    import networkx as nx
+
+    n = data.draw(st.integers(2, 8))
     edges = data.draw(st.sets(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        .filter(lambda e: e[0] != e[1]), max_size=12))
+        .filter(lambda e: e[0] != e[1]), max_size=n * (n - 1) // 2))
     g = SimpleGraph(n, edges)
-    assert vertex_connectivity(g) == _brute_vertex_connectivity(g)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(g.edges)
+    assert (vertex_connectivity(g) == _brute_vertex_connectivity(g)
+            == nx.node_connectivity(nxg))
+
+
+def _brute_strong_connectivity(g: Digraph) -> int:
+    """Smallest vertex set whose removal leaves a digraph that is not
+    strongly connected, else n - 1, by direct subset search.  networkx
+    only tests each remainder: its ``node_connectivity`` is no oracle for
+    digraphs, since it disagrees with this search on some of them."""
+    import networkx as nx
+
+    nxg = nx.DiGraph()
+    nxg.add_nodes_from(range(g.order))
+    nxg.add_edges_from(g.arcs)
+    for size in range(g.order - 1):
+        for cut in itertools.combinations(range(g.order), size):
+            if not nx.is_strongly_connected(nxg.subgraph(
+                    v for v in range(g.order) if v not in cut)):
+                return size
+    return g.order - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_strong_connectivity_matches_brute_force(data):
+    """A random Hamiltonian cycle keeps each drawn digraph strong."""
+    n = data.draw(st.integers(2, 7))
+    cycle = data.draw(st.permutations(range(n)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    arcs = data.draw(st.sets(pairs, max_size=n * n))
+    g = Digraph(n, arcs | {(cycle[i - 1], cycle[i]) for i in range(n)})
+    assert strong_connectivity(g) == _brute_strong_connectivity(g)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,36 @@ def test_orientations_frozen_up_to_order_6():
 def test_orientation_infeasible():
     with pytest.raises(OrientationInfeasible):
         orientation_with_outdegree(complete_graph(4), 1)
+
+
+def test_infeasible_orientations_carry_dense_subsets():
+    """Below the pseudoarboricity p the orientation fails, and its subset
+    S, reached from one stuck edge, spans more than (p - 1) |S| edges."""
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, "simple"):
+            p = pseudoarboricity(g)
+            if p == 0:
+                continue
+            with pytest.raises(OrientationInfeasible) as info:
+                orientation_with_outdegree(g, p - 1)
+            cert = info.value
+            inside = set(cert.subset)
+            assert cert.k == p - 1
+            assert cert.edge_count == sum(
+                1 for u, v in g.edges if u in inside and v in inside)
+            assert cert.edge_count > (p - 1) * len(cert.subset)
+
+
+def test_orientation_of_a_shuffled_4000_vertex_path():
+    """With its labels shuffled (seed 1), the second pass reverses paths
+    of up to 936 arcs; the search is a list queue, so nothing recurses."""
+    order = list(range(4000))
+    random.Random(1).shuffle(order)
+    g = SimpleGraph(4000, zip(order, order[1:]))
+    d = orientation_with_outdegree(g, 1)
+    assert max(d.out_degrees()) == 1
+    assert len(d.arcs) == len(g.edges)
+    assert {(min(u, v), max(u, v)) for u, v in d.arcs} == set(g.edges)
 
 
 @pytest.mark.parametrize("g,alpha", [

@@ -1,5 +1,6 @@
 """Static checks on the package source, parsed with ``ast``: every
-imported name is used, and every witness is built in ``witness``."""
+imported name is used, every witness is built in ``witness``, and only
+functions with a stated depth bound call themselves."""
 
 from __future__ import annotations
 
@@ -9,8 +10,23 @@ from pathlib import Path
 import pytest
 
 import semicayley
+from semicayley import Digraph, SimpleGraph, independence_number, sabidussi_check
+from semicayley import invariants
 
 MODULES = sorted(Path(semicayley.__file__).parent.glob("*.py"))
+
+# every function in the package that calls itself, with its depth bound;
+# any other recursion could exhaust Python's stack on a large input
+RECURSIVE = {
+    # one level per vertex taken into the set; independence_number
+    # refuses order > _MIS_CAP
+    "invariants._mis_masked.bnb": 40,
+    # one level per vertex placed; its one caller, sabidussi_check,
+    # refuses order > 8
+    "recognize.endomorphisms.place": 8,
+    # one level per vertex given an endomorphism, order <= 8
+    "recognize.sabidussi_check.extend": 8,
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -51,6 +67,46 @@ def test_the_unused_import_check_sees_an_unused_name():
     tree = ast.parse("import os\nfrom typing import List, Tuple\n"
                      "__all__ = ['Tuple']\nx: List = os.sep\nimport sys\n")
     assert _unused_imports(tree) == [(5, "sys")]
+
+
+def _self_calls(tree: ast.Module, module: str) -> list:
+    """Qualified names of the functions that call themselves by name,
+    as ``f(...)`` or, in a method, as ``self.f(...)``."""
+    found = []
+    todo = [(module, node) for node in tree.body]
+    while todo:
+        qual, node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            qual = f"{qual}.{node.name}"
+        if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call)
+                and (getattr(call.func, "id", None) == node.name
+                     or (getattr(call.func, "attr", None) == node.name
+                         and getattr(call.func.value, "id", None) == "self"))
+                for call in ast.walk(node)):
+            found.append(qual)
+        todo.extend((qual, child) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_only_depth_bounded_functions_call_themselves():
+    found = [name for path in MODULES
+             for name in _self_calls(_tree(path), path.stem)]
+    assert sorted(found) == sorted(RECURSIVE)
+    assert invariants._MIS_CAP == RECURSIVE["invariants._mis_masked.bnb"]
+    with pytest.raises(ValueError):
+        independence_number(SimpleGraph(invariants._MIS_CAP + 1))
+    with pytest.raises(ValueError):
+        sabidussi_check(
+            Digraph(RECURSIVE["recognize.sabidussi_check.extend"] + 1))
+
+
+def test_the_recursion_check_sees_self_calls():
+    tree = ast.parse("def f(n):\n    def g():\n        return g()\n"
+                     "    return f(n - 1) + h()\n"
+                     "class A:\n    def m(self):\n        return self.m()\n"
+                     "    def k(self, x):\n        return x.k()\n")
+    assert _self_calls(tree, "x") == ["x.A.m", "x.f", "x.f.g"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
