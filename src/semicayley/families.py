@@ -31,20 +31,20 @@ def _claim(holds: bool, generator: str, claim: str) -> None:
         raise RuntimeError(f"{generator} fails its own check: {claim}")
 
 
-def _gkl_vertices(k: int, ell: int):
-    """Layer-major numbering: the k^2 layer-0 vertices first (by j), then
-    layers 1..ell-1 with k vertices each."""
-    verts = [(0, j) for j in range(k * k)]
-    for i in range(1, ell):
-        verts.extend((i, j) for j in range(k))
-    return verts
-
-
-def _gkl_arc(k: int, ell: int, a, b) -> bool:
-    (i1, j1), (i2, j2) = a, b
-    if i1 + 1 == i2:
-        return True
-    return i1 == ell - 1 and i2 == 0 and j1 == j2 // k
+def _gkl_arcs(k: int, ell: int):
+    """The arcs of ``Gkl``, layer by layer, in the layer-major numbering:
+    the k^2 layer-0 vertices first, then layers 1..ell-1 of k vertices
+    each.  Every vertex of a layer feeds the whole next layer, and vertex
+    j of the last layer feeds the layer-0 vertices jk..jk+k-1."""
+    start, size = 0, k * k
+    for _ in range(ell - 1):
+        nxt = start + size
+        for u in range(start, nxt):
+            for v in range(nxt, nxt + k):
+                yield u, v
+        start, size = nxt, k
+    for v in range(k * k):
+        yield start + v // k, v
 
 
 def gen_Gkl(k: int, ell: int) -> Digraph:
@@ -52,11 +52,7 @@ def gen_Gkl(k: int, ell: int) -> Digraph:
     ell-1 narrow layers of k vertices, wrapping back block-wise."""
     if k < 1 or ell < 1:
         raise ValueError("k and ell must be >= 1")
-    verts = _gkl_vertices(k, ell)
-    idx = {v: i for i, v in enumerate(verts)}
-    arcs = {(idx[a], idx[b]) for a in verts for b in verts
-            if _gkl_arc(k, ell, a, b)}
-    g = Digraph(len(verts), arcs)
+    g = Digraph(k * k + (ell - 1) * k, _gkl_arcs(k, ell))
     if ell >= 2:
         _claim(g.is_k_outregular(k), "gen_Gkl", f"not {k}-outregular")
     return g
@@ -91,19 +87,15 @@ def gen_Gklk(k: int, ell: int, kappa: int) -> Digraph:
     if k < 1 or ell < 1 or kappa < 1:
         raise ValueError("k, ell, kappa must be >= 1")
     base = gen_Gkl(k, ell)
-    verts = _gkl_vertices(k, ell)
     groups = _merge_classes(k, kappa)
-    label: dict = {}
+    n0 = len(groups)
+    n = n0 + base.order - k * k
+    # layer-0 vertex j goes to its class, every later vertex i to i - k^2 + n0
+    new_index = [0] * (k * k) + list(range(n0, n))
     for ci, group in enumerate(groups):
         for j in group:
-            label[j] = ci
-    n0 = len(groups)
-    new_index = []
-    for i, (layer, j) in enumerate(verts):
-        new_index.append(label[j] if layer == 0 else n0 + (i - k * k))
-    n = n0 + (len(verts) - k * k)
-    arcs = {(new_index[u], new_index[v]) for u, v in base.arcs}
-    g = Digraph(n, arcs)
+            new_index[j] = ci
+    g = Digraph(n, ((new_index[u], new_index[v]) for u, v in base.arcs))
     if kappa <= k:
         _claim(n0 == (k // kappa) * k, "gen_Gklk",
                f"merged layer has {n0} vertices, not {(k // kappa) * k}")
@@ -118,35 +110,22 @@ def gen_threshold(seq) -> Tuple[SimpleGraph, CayleyWitness]:
     {"isolated", "dominating"}, together with a monoid witness.
 
     Starts from a single vertex with the trivial monoid; each step adjoins
-    an absorbing element x (x*v = v*x = x for all v), adding x to the
-    connection set exactly when the new vertex dominates.
+    an absorbing element x (x*v = v*x = x for all v), so the monoid is the
+    chain 0..n-1 under max; x is a connection element iff it dominates.
     """
-    steps = []
+    dominating = []
+    n = 1
     for s in seq:
         s = str(s).lower()
-        if s in ("isolated", "i"):
-            steps.append(False)
-        elif s in ("dominating", "d"):
-            steps.append(True)
-        else:
+        if s in ("dominating", "d"):
+            dominating.append(n)
+        elif s not in ("isolated", "i"):
             raise ValueError(f"unknown threshold step {s!r}")
-
-    rows = ((0,),)
-    identity = 0
-    conn = set()
-    edges = set()
-    for dominating in steps:
-        n = len(rows)
-        new_rows = [row + (n,) for row in rows]
-        new_rows.append(tuple([n] * (n + 1)))
-        rows = tuple(new_rows)
-        if dominating:
-            conn.add(n)
-            edges.update((v, n) for v in range(n))
-    n = len(rows)
-    g = SimpleGraph(n, edges)
-    table = MulTable(n, rows, identity=identity)
-    return g, certify("monoid-graph", g, table, conn)
+        n += 1
+    g = SimpleGraph(n, ((v, c) for c in dominating for v in range(c)))
+    table = MulTable(n, [[max(x, y) for y in range(n)] for x in range(n)],
+                     identity=0)
+    return g, certify("monoid-graph", g, table, dominating)
 
 
 def gen_K4_Cl(ell: int) -> SimpleGraph:

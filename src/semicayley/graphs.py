@@ -167,21 +167,11 @@ Graph = Union[Digraph, SimpleGraph]
 # text format: first line "n directed|undirected", then one "u v" per line
 
 def parse_graph(text: str) -> Graph:
-    lines = text.splitlines()
-    header = None
-    header_no = 0
-    rows = []
-    for no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line
-            header_no = no
-        else:
-            rows.append((no, line))
-    if header is None:
+    lines = [(no, raw.strip()) for no, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(no, s) for no, s in lines if s and not s.startswith("#")]
+    if not lines:
         raise GraphFormatError(1, "empty input")
+    header_no, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[1] not in ("directed", "undirected"):
         raise GraphFormatError(header_no, "expected header 'n directed|undirected'")
@@ -192,7 +182,7 @@ def parse_graph(text: str) -> Graph:
     if n < 1:
         raise GraphFormatError(header_no, "order must be >= 1")
     pairs = []
-    for no, line in rows:
+    for no, line in lines[1:]:
         toks = line.split()
         if len(toks) != 2:
             raise GraphFormatError(no, "expected 'u v'")

@@ -712,8 +712,11 @@ def endomorphisms(g: Digraph, budget: Optional[Budget] = None) -> List[Tuple[int
     node.  The images allowed for v are one adjacency bitmask, the AND of
     the out-masks of its earlier predecessors' images, the in-masks of its
     earlier successors' images and, if v has a loop, the looped vertices;
-    its set bits are tried in ascending order.  Small orders only.
+    its set bits are tried in ascending order.  The search recurses once
+    per vertex, so it refuses order > 8.
     """
+    if g.order > 8:
+        raise ValueError("endomorphism search is limited to order <= 8")
     n = g.order
     out_mask, in_mask = _masks(g)
     looped = sum(1 << v for v in range(n) if out_mask[v] >> v & 1)
@@ -751,8 +754,8 @@ def sabidussi_check(g: Digraph, budget: Optional[Budget] = None) -> SearchOutcom
     endomorphisms (phi_x) with phi_x(e) = x, phi_e the identity map,
     closed under composition (phi_x . phi_y = phi_{phi_x(y)}), and such
     that every phi_x pushes some out-neighbor of e onto each out-neighbor
-    of x.  The product x*y = phi_x(y) then defines the monoid.  Intended
-    for order at most 8.
+    of x.  The product x*y = phi_x(y) then defines the monoid.  Order at
+    most 8, as ``endomorphisms`` requires.
 
     The nodes are those of ``endomorphisms`` (lexicographic order) plus
     one per endomorphism tried in the selection.  phi is a candidate for
@@ -763,8 +766,6 @@ def sabidussi_check(g: Digraph, budget: Optional[Budget] = None) -> SearchOutcom
     at most deg e elements.  Beside a loopless x, a looped e leaves x
     none either: an endomorphism maps a looped vertex to a looped one.
     """
-    if g.order > 8:
-        raise ValueError("endomorphism search is limited to order <= 8")
     budget = budget or Budget()
     n = g.order
     need = _masks(g)[0]
@@ -832,8 +833,6 @@ def sabidussi_check(g: Digraph, budget: Optional[Budget] = None) -> SearchOutcom
                         chosen[trail.pop()] = None
                 return False
 
-            if not close(e):
-                continue
             if extend(0):
                 rows = tuple(chosen[x] for x in range(n))
                 table = MulTable(n, rows, identity=e)

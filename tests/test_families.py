@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from semicayley.families import (
     gen_Tplus,
 )
 from semicayley.graphs import is_strongly_connected, weak_components
+from semicayley.witness import format_witness_record
 
 
 def is_tree(g: SimpleGraph) -> bool:
@@ -51,6 +53,33 @@ def test_gklk_kappa_one_is_unmerged():
     assert a.order == b.order and set(a.arcs) == set(b.arcs)
 
 
+# frozen: one sha256 over (order, sorted arcs) of gen_Gkl(k, ell) and
+# gen_Gklk(k, ell, kappa) for 1 <= k <= 6, 1 <= ell <= 7, 1 <= kappa <= 7,
+# then the witness record of gen_threshold on every {i, d} word of length
+# <= 8 and on the list form of the step names
+FAMILIES_DIGEST = (
+    "e2bc0dc8c85affe1685e5f94866f19ed07519c35c452e97b3770c8a95e99c429")
+
+
+def test_families_frozen():
+    """How a family is built may change, its graphs and records may not."""
+    digest = hashlib.sha256()
+    for k in range(1, 7):
+        for ell in range(1, 8):
+            g = gen_Gkl(k, ell)
+            digest.update(repr((g.order, sorted(g.arcs))).encode())
+            for kappa in range(1, 8):
+                g = gen_Gklk(k, ell, kappa)
+                digest.update(repr((g.order, sorted(g.arcs))).encode())
+    words = ["".join(w) for n in range(9)
+             for w in itertools.product("id", repeat=n)]
+    assert len(words) == 511
+    for seq in words + [["dominating", "isolated", "D", "I"]]:
+        g, w = gen_threshold(seq)
+        digest.update(format_witness_record(w, g).encode())
+    assert digest.hexdigest() == FAMILIES_DIGEST
+
+
 def test_family_guards():
     with pytest.raises(ValueError):
         gen_Gkl(0, 2)
@@ -72,7 +101,7 @@ if not sys.flags.optimize:
     sys.exit("not running under -O")
 breaks = [
     # no arcs at all: gen_Gkl is not 2-outregular
-    ("_gkl_arc", lambda k, ell, a, b: False, fam.gen_Gkl, (2, 2)),
+    ("_gkl_arcs", lambda k, ell: iter(()), fam.gen_Gkl, (2, 2)),
     # everything merged into one vertex: wrong merged-layer size
     ("_merge_classes", lambda k, kappa: [list(range(k * k))], fam.gen_Gklk, (2, 2, 2)),
     # merging 0 with 1 and 2 with 3 halves some outdegrees

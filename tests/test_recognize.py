@@ -276,6 +276,16 @@ def test_sabidussi_order_cap():
         sabidussi_check(big, fresh_budget())
 
 
+def test_endomorphisms_refuse_a_long_path_before_recursing():
+    """The directed path on 1,200 vertices with a loop at its end: the
+    order cap, not the recursion limit or the budget, stops both."""
+    n = 1200
+    g = Digraph(n, [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 1)])
+    for search in (endomorphisms, sabidussi_check):
+        with pytest.raises(ValueError):
+            search(g, Budget(max_nodes=5000))
+
+
 def brute_force_homs(g: Digraph, v: int) -> list:
     """Every map {0..v-1} -> V(g) keeping the arcs among {0..v-1}, in
     lexicographic order."""

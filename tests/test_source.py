@@ -11,7 +11,8 @@ import pytest
 
 import semicayley
 from semicayley import Digraph, SimpleGraph, independence_number, sabidussi_check
-from semicayley import invariants
+from semicayley import cli, invariants
+from semicayley.recognize import endomorphisms
 
 MODULES = sorted(Path(semicayley.__file__).parent.glob("*.py"))
 
@@ -21,8 +22,8 @@ RECURSIVE = {
     # one level per vertex taken into the set; independence_number
     # refuses order > _MIS_CAP
     "invariants._mis_masked.bnb": 40,
-    # one level per vertex placed; its one caller, sabidussi_check,
-    # refuses order > 8
+    # one level per vertex placed; endomorphisms bounds its own depth
+    # by refusing order > 8
     "recognize.endomorphisms.place": 8,
     # one level per vertex given an endomorphism, order <= 8
     "recognize.sabidussi_check.extend": 8,
@@ -97,8 +98,16 @@ def test_only_depth_bounded_functions_call_themselves():
     with pytest.raises(ValueError):
         independence_number(SimpleGraph(invariants._MIS_CAP + 1))
     with pytest.raises(ValueError):
+        endomorphisms(Digraph(RECURSIVE["recognize.endomorphisms.place"] + 1))
+    with pytest.raises(ValueError):
         sabidussi_check(
             Digraph(RECURSIVE["recognize.sabidussi_check.extend"] + 1))
+
+
+def test_cli_invariants_cap_is_the_subset_cap():
+    """``cli`` writes the cap as a number so that its start-up need not
+    import ``invariants``; the two must agree."""
+    assert cli.MAX_ORDER["invariants"] == invariants._SUBSET_CAP
 
 
 def test_the_recursion_check_sees_self_calls():
@@ -127,7 +136,7 @@ def test_witnesses_are_built_only_in_witness_module(path):
 def test_no_module_imports_dataclasses(path):
     """``dataclasses`` loads ``inspect``, ``ast`` and ``dis``, several
     milliseconds of every CLI process; the value classes build on
-    ``value.FrozenValue`` and ``value.Value`` instead."""
+    ``graphs.FrozenValue`` and ``graphs.Value`` instead."""
     names = [(node.lineno, alias.name) for node in ast.walk(_tree(path))
              if isinstance(node, ast.Import) for alias in node.names]
     names += [(node.lineno, node.module) for node in ast.walk(_tree(path))

@@ -56,7 +56,7 @@ from semicayley import (
 )
 from semicayley import cli
 from semicayley.cli import MAX_ORDER, main
-from semicayley.graphs import weak_components
+from semicayley.graphs import parse_graph, weak_components
 from semicayley.families import gen_perfect_kary, looped_path_digraph, gen_threshold
 from semicayley.witness import CayleyWitness, WitnessRecordError
 from semicayley.zelinka import forest_witness
@@ -611,6 +611,15 @@ def test_cli_gen_accepts_families_at_the_cap(monkeypatch, capsys):
     assert code == 0 and out.startswith("3 undirected\n")
     code, out, err = run_cli(["gen", "threshold", "--seq", "idd"], capsys=capsys)
     assert (code, out) == (1, "") and err.startswith("error: gen builds")
+
+
+def test_cli_gen_gkl_prints_a_large_outregular_digraph(capsys):
+    """``gen gkl 8 500`` has 64 + 499 * 8 = 4,056 vertices, each of
+    outdegree 8."""
+    code, out, _ = run_cli(["gen", "gkl", "8", "500"], capsys=capsys)
+    assert code == 0 and out.startswith("4056 directed\n")
+    g = parse_graph(out)
+    assert g.order == 4056 and g.is_k_outregular(8)
 
 
 @pytest.mark.parametrize("workers", ["0", "100000"])
