@@ -480,7 +480,7 @@ def test_a_forking_search_loads_no_multiprocessing():
         "    return pid\n"
         "os.fork = counted_fork\n"
         "out = recognize_monoid_graph(gen_K4_Cl(5))\n"
-        "assert (out.status, out.nodes) == ('exhausted-no', 1272392), out\n"
+        "assert (out.status, out.nodes) == ('exhausted-no', 696357), out\n"
         "assert len(started) == 2 and all(started), started\n")
     assert "recognize" in loaded and "forked" in loaded
     assert "multiprocessing" not in loaded

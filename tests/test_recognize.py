@@ -216,11 +216,14 @@ def test_time_budget_stops_at_the_first_poll():
 
 
 @pytest.mark.parametrize("max_seconds", [None, 600.0])
-@pytest.mark.parametrize("k", [1, 4095, 4096, 15_002, 15_003, 60_008])
+@pytest.mark.parametrize("k", [1, 4095, 4096, 15_002, 15_003, 18_714,
+                               18_715, 56_127, 60_008])
 def test_node_budget_stops_one_node_past_its_limit(k, max_seconds):
     """K4 + C5 runs out of nodes at node k + 1 wherever k falls: around
-    the time poll at 4,096 and around the ends of the first four identity
-    candidates (15,002 nodes each), with and without a time limit."""
+    the time poll at 4,096, around the end of the first identity candidate
+    (18,714 nodes) and at the end of the third (56,127), at the ends that
+    the first and fourth had without the probe (15,002 and 60,008), with
+    and without a time limit."""
     budget = Budget(max_nodes=k, max_seconds=max_seconds)
     out = recognize_monoid_graph(gen_K4_Cl(5), budget)
     assert (out.status, out.nodes, budget.nodes) == (
@@ -337,7 +340,7 @@ CROSSCHECK_4_DIGESTS = {
     "sabidussi_check":
         "fc638d219f8e1c7e30a45cdd48f41963c287963172ed38db0b300575fc047287",
     "recognize_monoid_digraph":
-        "5369455636f0c8430c318c46dd11db4ea7816177b64a45cf3dfa4be790dcdc1a",
+        "c8039e5437b896f4187731013b1f2a57ad5e38a24dd4d144e145ceb4c96e3e97",
 }
 
 
@@ -347,7 +350,7 @@ def test_crosscheck_4_answers_frozen_per_class():
     digraphs = [g for n in range(1, 5) for g in enumerate_graphs(n, "digraph-all")]
     assert len(digraphs) == 3160
     for route, totals in ((sabidussi_check, (155079, 171)),
-                          (recognize_monoid_digraph, (7493, 171))):
+                          (recognize_monoid_digraph, (7006, 171))):
         digest = hashlib.sha256()
         nodes = witnesses = 0
         for g in digraphs:
@@ -499,10 +502,10 @@ def test_search_node_counts_frozen():
     assert total(report) == 804
     report = classify_all(4, "monoid-digraph")
     assert report.counts() == {"witness": 40, "exhausted-no": 66}
-    assert total(report) == 1408
+    assert total(report) == 1222
     report = classify_all(4, "semigroup-digraph")
     assert report.counts() == {"witness": 47, "exhausted-no": 59}
-    assert total(report) == 10134
+    assert total(report) == 8406
     assert recognize_monoid_digraph(looped_to_zero(30), fresh_budget()).nodes == 841
 
     def tally(outcomes):
@@ -521,9 +524,9 @@ def test_search_node_counts_frozen():
     digraphs = list(enumerate_graphs(3, "digraph-all"))
     assert len(digraphs) == 104
     assert tally([recognize_monoid_digraph(g, fresh_budget())
-                  for g in digraphs]) == ({"witness": 25, "exhausted-no": 79}, 165)
+                  for g in digraphs]) == ({"witness": 25, "exhausted-no": 79}, 161)
     assert tally([recognize_semigroup_digraph(g, fresh_budget())
-                  for g in digraphs]) == ({"witness": 28, "exhausted-no": 76}, 709)
+                  for g in digraphs]) == ({"witness": 28, "exhausted-no": 76}, 676)
     # canonical labellings put a sink first, where the search dies at once;
     # a sink last shows that sinks are refuted before any search
     sink_last = Digraph(3, [(0, 1), (1, 2)])
@@ -633,7 +636,9 @@ def _first_cell_rejected(s, arc, a, b, v) -> bool:
         return True
     if s.row_used is not None and v in T[a]:
         return True
-    # the row of a must map arcs at b to arcs
+    # the row of a must map arcs at b to arcs, a loop at b included
+    if s.directed and arc(b, b) and not arc(v, v):
+        return True
     for y in range(n):
         z = T[a][y]
         if z >= 0 and ((arc(b, y) and not arc(v, z))
@@ -766,15 +771,16 @@ def test_rejected_values_leave_the_state_as_it_was(g, semigroup):
 
 def test_rejections_at_the_first_cell_and_later_are_both_watched():
     """The watched kernel meets both kinds of rejection: on the 5-cycle as
-    a graph, and on the strongly connected digraph 0 -> 1 -> 2 -> 0, 0 -> 0
-    with injective rows."""
+    a graph, and with injective rows on the strongly connected digraph
+    0 -> 1, 0 -> 2, 1 -> 1, 1 -> 2, 2 -> 0, 2 -> 1, whose loop at 1 the
+    loop rule reads."""
     g = cycle_graph(5)
     sets = [frozenset(s) for s in g.neighbors()]
     seen = {"first": 0, "later": 0}
     _run_watched(sets, lambda x, y: x == y or y in sets[x],
                  [(e, sets[e]) for e in range(g.order)], False, False, seen)
     assert seen["first"] > 0 and seen["later"] > 0
-    d = Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 0)])
+    d = Digraph(3, [(0, 1), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)])
     dsets = [frozenset(s) for s in d.out_neighbors()]
     seen = {"first": 0, "later": 0}
     _run_watched(dsets, lambda x, y: y in dsets[x],
@@ -784,20 +790,38 @@ def test_rejections_at_the_first_cell_and_later_are_both_watched():
     assert seen["first"] > 0 and seen["later"] > 0
 
 
-@pytest.mark.parametrize("identity, nodes", [
-    (0, 15_002), (1, 15_002), (2, 15_002), (3, 15_002),
-    (4, 46_086), (5, 44_166), (8, 46_086)])
-def test_k4_c5_nodes_per_identity_frozen(identity, nodes):
-    """The unrestricted K4 + C5 search (1,272,392 nodes) per identity: all
-    four degree-3 candidates and the cheap degree-2 ones, each exhausted."""
+# the unrestricted K4 + C5 search per identity: all four degree-3
+# candidates and the cheap degree-2 ones, each exhausted in the pieces
+# ``_search_tables`` splits it into, since a probing walk's count depends
+# on that split; without the probe (1,272,392 nodes in all) and with it
+# (696,357)
+K4_C5_IDENTITY_NODES = [(0, 15_002), (1, 15_002), (2, 15_002), (3, 15_002),
+                        (4, 46_086), (5, 44_166), (8, 46_086)]
+K4_C5_PROBING_IDENTITY_NODES = [(0, 18_714), (1, 18_709), (2, 18_704),
+                                (3, 18_704), (4, 57_124), (5, 55_426),
+                                (8, 54_213)]
+
+
+def _k4_c5_identity_answer(identity):
     g = gen_K4_Cl(5)
     sets = [frozenset(s) for s in g.neighbors()]
     budget = fresh_budget()
-    s = _TableSolver(_GraphTables(sets, False), sets[identity], budget,
-                     identity=identity)
-    assert s.prefill_identity()
-    assert s.search() is None
-    assert budget.nodes == nodes
+    out = _search_tables("monoid-graph", g, budget, sets,
+                         [(identity, sets[identity])])
+    return out.status, out.nodes, budget.nodes
+
+
+@pytest.mark.parametrize("identity, nodes", K4_C5_IDENTITY_NODES)
+def test_k4_c5_nodes_per_identity_frozen(monkeypatch, identity, nodes):
+    monkeypatch.setattr(recognize_module, "FORK_AFTER", float("inf"))
+    monkeypatch.setattr(recognize_module, "PROBE_AFTER", float("inf"))
+    assert _k4_c5_identity_answer(identity) == ("exhausted-no", nodes, nodes)
+
+
+@pytest.mark.parametrize("identity, nodes", K4_C5_PROBING_IDENTITY_NODES)
+def test_k4_c5_probing_nodes_per_identity_frozen(monkeypatch, identity, nodes):
+    monkeypatch.setattr(recognize_module, "FORK_AFTER", float("inf"))
+    assert _k4_c5_identity_answer(identity) == ("exhausted-no", nodes, nodes)
 
 
 # -- searches split into pieces and run on forked workers -------------------
@@ -847,26 +871,29 @@ def _serial_and_forked(monkeypatch, run):
     return serial, run()
 
 
-@pytest.mark.parametrize("identity, nodes", [
-    (0, 15_002), (1, 15_002), (2, 15_002), (3, 15_002),
-    (4, 46_086), (5, 44_166), (8, 46_086)])
-def test_forked_k4_c5_per_identity_matches_the_pins(forking, identity, nodes):
-    g = gen_K4_Cl(5)
-    sets = [frozenset(s) for s in g.neighbors()]
-    budget = fresh_budget()
-    out = _search_tables("monoid-graph", g, budget, sets,
-                         [(identity, sets[identity])])
-    assert (out.status, out.nodes, budget.nodes) == ("exhausted-no", nodes, nodes)
+@pytest.mark.parametrize("identity, nodes", K4_C5_IDENTITY_NODES)
+def test_forked_k4_c5_per_identity_matches_the_pins(forking, monkeypatch,
+                                                    identity, nodes):
+    monkeypatch.setattr(recognize_module, "PROBE_AFTER", float("inf"))
+    assert _k4_c5_identity_answer(identity) == ("exhausted-no", nodes, nodes)
+    assert len(forking) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("identity, nodes", K4_C5_PROBING_IDENTITY_NODES)
+def test_forked_k4_c5_probing_per_identity_matches_the_pins(forking, identity,
+                                                            nodes):
+    assert _k4_c5_identity_answer(identity) == ("exhausted-no", nodes, nodes)
     assert len(forking) == 2
     assert_no_child_left()
 
 
 def test_k4_c5_forks_past_the_threshold_with_the_serial_count(monkeypatch):
     """At the real threshold: the search forks once, onto two workers, and
-    still exhausts in 1,272,392 nodes."""
+    still exhausts in 696,357 nodes."""
     started = _two_cpus_counting_forks(monkeypatch)
     out = recognize_monoid_graph(gen_K4_Cl(5), fresh_budget())
-    assert (out.status, out.nodes) == ("exhausted-no", 1_272_392)
+    assert (out.status, out.nodes) == ("exhausted-no", 696_357)
     assert len(started) == 2
     assert_no_child_left()
     out = recognize_monoid_graph(gen_K4_Cl(5), Budget(max_nodes=60_008))
@@ -874,8 +901,10 @@ def test_k4_c5_forks_past_the_threshold_with_the_serial_count(monkeypatch):
     assert len(started) == 2  # under the threshold: no fork
 
 
-@pytest.mark.parametrize("options", [
-    {}, {"require_generated": True}, {"max_connection": 2}])
+ORDER_5_OPTIONS = [{}, {"require_generated": True}, {"max_connection": 2}]
+
+
+@pytest.mark.parametrize("options", ORDER_5_OPTIONS)
 def test_forked_search_matches_serial_on_order_5(forking, monkeypatch, options):
     graphs = list(enumerate_graphs(5, "simple"))
 
@@ -897,6 +926,127 @@ def test_forked_order_4_digraph_census_matches_serial(forking, monkeypatch, mode
 
     serial, parallel = _serial_and_forked(monkeypatch, run)
     assert parallel == serial
+    assert forking
+    assert_no_child_left()
+
+
+# -- probing the open connection cells ------------------------------------
+
+
+def _probe_everywhere(monkeypatch):
+    """Every piece's walk probes from its first node, on any connection set."""
+    monkeypatch.setattr(recognize_module, "PROBE_AFTER", 0)
+    monkeypatch.setattr(recognize_module, "PROBE_MAX_CONNECTION", float("inf"))
+
+
+def _probe_corpus(name):
+    """(recognizer, graph, options) for each search of one corpus."""
+    if name == "simple-6":
+        return [(recognize_monoid_graph, g, options)
+                for g in enumerate_graphs(6, "simple")
+                for options in ({}, {"max_connection": 2})]
+    if name == "simple-5-generated":
+        return [(recognize_monoid_graph, g, {"require_generated": True})
+                for g in enumerate_graphs(5, "simple")]
+    return [(recognize, g, {}) for g in enumerate_graphs(4, "digraph-all")
+            for recognize in (recognize_monoid_digraph,
+                              recognize_semigroup_digraph)]
+
+
+@pytest.mark.parametrize("corpus", ["simple-6", "simple-5-generated",
+                                    "digraph-all-4"])
+def test_probing_changes_no_status(monkeypatch, corpus):
+    """Probing rejects only values that no complete table extends, so with
+    it forced on everywhere each search answers as with it off; the node
+    totals differ, so it did probe."""
+    runs = _probe_corpus(corpus)
+
+    def answers():
+        outs = [recognize(g, fresh_budget(), **options)
+                for recognize, g, options in runs]
+        return [out.status for out in outs], sum(out.nodes for out in outs)
+
+    monkeypatch.setattr(recognize_module, "PROBE_AFTER", float("inf"))
+    off, off_nodes = answers()
+    _probe_everywhere(monkeypatch)
+    on, on_nodes = answers()
+    assert on == off
+    assert "exhausted-no" in off and on_nodes != off_nodes
+
+
+@pytest.mark.parametrize("options", ORDER_5_OPTIONS)
+def test_forked_search_matches_serial_on_order_5_probing_everywhere(
+        forking, monkeypatch, options):
+    _probe_everywhere(monkeypatch)
+    test_forked_search_matches_serial_on_order_5(forking, monkeypatch, options)
+
+
+def test_forked_k4_c4_matches_serial_with_probing(forking, monkeypatch):
+    """K4 ∪ C4 probes under the default trigger, in process and in the
+    workers alike."""
+    def run():
+        return _answer(recognize_monoid_graph(gen_K4_Cl(4), fresh_budget()))
+
+    serial, parallel = _serial_and_forked(monkeypatch, run)
+    assert parallel == serial == ("exhausted-no", 334_027, None)
+    assert forking
+    assert_no_child_left()
+
+
+def _record_probes(monkeypatch) -> list:
+    """Record, for each call of every solver's ``assign_propagate`` after
+    the identity's prefill, whether it is provably a probe: a branching
+    value goes to the first open cell in the static order, so a call
+    anywhere else is a probe.  Returns the records and the unwatched
+    prefill."""
+    calls = []
+    prefill = _TableSolver.prefill_identity
+
+    def watched_prefill(self):
+        passed = prefill(self)
+        assign, T, order = self.assign_propagate, self.table, self.order
+
+        def recorded(a, b, v):
+            first_open = next(cell for cell in order
+                              if T[cell[0]][cell[1]] < 0)
+            calls.append((a, b) != first_open)
+            return assign(a, b, v)
+
+        self.assign_propagate = recorded
+        return passed
+
+    monkeypatch.setattr(_TableSolver, "prefill_identity", watched_prefill)
+    return calls, prefill
+
+
+def test_a_node_limit_inside_a_probe_stops_one_node_past_it(forking,
+                                                             monkeypatch):
+    """A limit whose next node is a probe value stops there, serial and
+    forked, before that value is tried.  K4 + C5's first candidate,
+    identity 0, searched alone, calls ``assign_propagate`` once per node,
+    so its calls number its nodes."""
+    monkeypatch.setattr(recognize_module, "FORK_AFTER", float("inf"))
+    calls, prefill = _record_probes(monkeypatch)
+    g = gen_K4_Cl(5)
+    sets = [frozenset(s) for s in g.neighbors()]
+    out = _search_tables("monoid-graph", g, fresh_budget(), sets,
+                         [(0, sets[0])])
+    assert (out.status, out.nodes, len(calls)) == (
+        "exhausted-no", 18_714, 18_714)
+    k = calls.index(True)  # node k + 1 is a probe value
+    assert k >= recognize_module.PROBE_AFTER
+    calls.clear()
+    out = recognize_monoid_graph(g, Budget(max_nodes=k, max_seconds=None))
+    assert (out.status, out.nodes, len(calls)) == ("budget-exceeded", k + 1, k)
+    monkeypatch.setattr(_TableSolver, "prefill_identity", prefill)
+
+    def run():
+        budget = Budget(max_nodes=k, max_seconds=None)
+        out = recognize_monoid_graph(g, budget)
+        return out.status, out.nodes, budget.nodes
+
+    serial, parallel = _serial_and_forked(monkeypatch, run)
+    assert serial == parallel == ("budget-exceeded", k + 1, k + 1)
     assert forking
     assert_no_child_left()
 
@@ -1020,7 +1170,8 @@ def test_census_workers_below_one_is_an_input_error(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("max_seconds", [None, 600.0])
-@pytest.mark.parametrize("k", [1, 4095, 4096, 15_002, 15_003, 60_008])
+@pytest.mark.parametrize("k", [1, 4095, 4096, 15_002, 15_003, 18_714,
+                               18_715, 56_127, 60_008])
 def test_forked_node_budget_stops_one_node_past_its_limit(forking, k,
                                                           max_seconds):
     budget = Budget(max_nodes=k, max_seconds=max_seconds)
@@ -1090,7 +1241,7 @@ def test_no_search_forks_inside_a_worker_or_beside_a_thread(forking):
         sets = [frozenset(s) for s in g.neighbors()]
         out = _search_tables("monoid-graph", g, fresh_budget(), sets,
                              [(0, sets[0])])
-        assert (out.status, out.nodes) == ("exhausted-no", 15_002)
+        assert (out.status, out.nodes) == ("exhausted-no", 18_714)
         assert len(forking) == 2
     finally:
         release.set()

@@ -664,7 +664,7 @@ def test_cli_recognize_states_the_scope_of_a_restricted_search(
         ["recognize", "--mode", "monoid-graph", "--max-connection", "2"],
         format_graph(gen_K4_Cl(5)), monkeypatch, capsys)
     assert code == 0
-    assert out == ("status: exhausted-no\nnodes: 1212384\n"
+    assert out == ("status: exhausted-no\nnodes: 621526\n"
                    "scope: identities of degree <= 2\n")
     code, out, _ = run_cli(["recognize", "--mode", "monoid-graph"],
                            format_graph(cycle_graph(5)), monkeypatch, capsys)
