@@ -7,7 +7,8 @@ stdin/stdout, deterministic output.  Exit status:
   certified negative;
 * 1 on input errors, among them an input order over the subcommand's cap
   in ``MAX_ORDER``, a ``gen`` family given the wrong number of parameters
-  or more than ``MAX_CARRIER_ORDER`` vertices, and ``census --workers``
+  or more than ``MAX_CARRIER_ORDER`` vertices (a threshold graph more than
+  ``construct-zelinka``'s cap), and ``census --workers``
   below 1 or above the number of CPUs the process may use;
 * 2 when a search gave up on its node or time budget;
 * 3 on an internal error: any other exception, reported on one stderr
@@ -227,10 +228,12 @@ def _cmd_gen(args) -> int:
     if len(p) != len(names):
         raise ValueError(f"gen {name} takes {len(names)} parameter(s)"
                         f" ({' '.join(names) or 'none'}), got {len(p)}")
+    cap = MAX_CARRIER_ORDER
     if name == "threshold":
-        p = [args.seq or ""]
-    if order(*p) > MAX_CARRIER_ORDER:
-        raise ValueError(f"gen builds families of up to {MAX_CARRIER_ORDER}"
+        # its witness is an n x n table, printed as construct-zelinka's is
+        p, cap = [args.seq or ""], min(cap, MAX_ORDER["construct-zelinka"])
+    if order(*p) > cap:
+        raise ValueError(f"gen builds families of up to {cap}"
                         f" vertices; this {name} would have more")
     g = getattr(families, build)(*p)
     if isinstance(g, tuple):  # with its root, or with its witness

@@ -293,7 +293,7 @@ def test_a10_beta_bounds_traces_and_certificates():
     ok = True
     for g in (petersen(), cycle_graph(5)):
         p = spectrum(g)
-        for k in (0, 1):
+        for k in (0, 1, 2):
             val = beta(g, k)
             ok &= (beta_lower_bound(p.order, p.degree, p.degree, k)
                    <= val <= beta_upper_bound(p, k))

@@ -134,10 +134,14 @@ def test_a_worker_that_dies_before_an_earlier_answer_waits_for_it():
 
 def _answer_then_die_soon(x):
     """Job 0 answers, then its worker is killed by an alarm 50 ms later,
-    while it waits idle for its next job."""
+    while it waits idle for its next job.  Job 1 answers after 200 ms, so
+    job 0's answer comes first and job 2, drawn only once a worker is
+    idle, goes to job 0's dead worker."""
     if x == 0:
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
         signal.setitimer(signal.ITIMER_REAL, 0.05)
+    elif x == 1:
+        time.sleep(0.2)
     return x
 
 

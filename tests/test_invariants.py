@@ -28,6 +28,7 @@ from semicayley import (
     pseudoarboricity,
     spectrum,
 )
+from semicayley import invariants
 from semicayley.invariants import (
     OrientationInfeasible,
     beta_lower_bound,
@@ -83,6 +84,26 @@ def brute_beta(g: SimpleGraph, k: int) -> int:
         removed = set(e for choice in combo for e in choice)
         kept = [e for e in g.edges if e not in removed]
         best = max(best, brute_independence(SimpleGraph(g.order, kept)))
+    return best
+
+
+def enumerated_beta(g: SimpleGraph, k: int, cap: int):
+    """beta by its definition: every k-multiset of whole incidence maps,
+    each map a set of chosen edges, with the independence number of what
+    each union leaves; None when that takes more than ``cap`` tuples."""
+    incident = [sorted(e for e in g.edges if v in e) for v in range(g.order)]
+    per_map = math.prod(len(edges) for edges in incident)
+    if math.comb(per_map + k - 1, k) > cap:
+        return None
+    maps = [frozenset(choice) for choice in itertools.product(*incident)]
+    cache: dict = {}
+    best = 0
+    for combo in itertools.combinations_with_replacement(maps, k):
+        removed = frozenset().union(*combo)
+        if removed not in cache:
+            cache[removed] = independence_number(
+                SimpleGraph(g.order, g.edges - removed))
+        best = max(best, cache[removed])
     return best
 
 
@@ -205,13 +226,67 @@ def test_beta_frozen_and_oracle(g, k, value):
     assert beta(g, k) == value == brute_beta(g, k)
 
 
-def test_beta_guards():
+@pytest.mark.parametrize("g,k,value", [
+    (petersen(), 2, 10),
+    (complete_graph(20), 1, 3),      # K_s orients with outdegree <= k
+    (complete_graph(20), 2, 5),      # exactly when s <= 2k + 1
+    (complete_graph(20), 3, 7),
+])
+def test_beta_frozen_beyond_the_enumeration(g, k, value):
+    assert beta(g, k) == value
+
+
+def test_beta_matches_the_incidence_map_enumeration():
+    """Every graph of order <= 5 without an isolated vertex, k = 1, 2, 3,
+    wherever the enumeration takes at most 2 * 10^5 tuples."""
+    compared = 0
+    for n in range(2, 6):
+        for g in enumerate_graphs(n, "simple"):
+            if 0 in g.degrees():
+                continue
+            for k in (1, 2, 3):
+                want = enumerated_beta(g, k, 2 * 10**5)
+                if want is not None:
+                    assert beta(g, k) == want, (g, k)
+                    compared += 1
+    assert compared == 90                # of 99 pairs from 33 graphs
+
+
+def _no_isolated_vertex(n: int, edges: set) -> SimpleGraph:
+    """The graph on ``edges`` with each isolated v joined to v + 1 mod n."""
+    touched = {v for e in edges for v in e}
+    return SimpleGraph(n, edges | {(v, (v + 1) % n) for v in range(n)
+                                   if v not in touched})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_beta_metamorphic_random(data):
+    """Relabelling leaves beta alone, beta grows with k, and beta reaches
+    the order exactly when k reaches the pseudoarboricity."""
+    n = data.draw(st.integers(2, 9))
+    g = _no_isolated_vertex(n, data.draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda e: e[0] != e[1]), max_size=20)))
+    perm = data.draw(st.permutations(range(n)))
+    h = SimpleGraph(n, [(perm[u], perm[v]) for u, v in g.edges])
+    values = [beta(g, k) for k in range(5)]
+    assert values == [beta(h, k) for k in range(5)]
+    assert values == sorted(values)
+    psarb = pseudoarboricity(g)
+    assert [v == n for v in values] == [k >= psarb for k in range(5)]
+
+
+def test_beta_guards(monkeypatch):
     with pytest.raises(ValueError):
         beta(cycle_graph(4), -1)
     with pytest.raises(ValueError):
         beta(SimpleGraph(3, [(0, 1)]), 1)      # isolated vertex
-    with pytest.raises(ValueError, match="budget"):
-        beta(petersen(), 2, budget=1000)
+    # K20 at k = 1 takes the first subset of each size up to 3, then
+    # examines all 4,845 of size 4 and finds none that orients
+    monkeypatch.setattr(invariants, "_BETA_BUDGET", 1000)
+    with pytest.raises(ValueError, match="1000 subsets"):
+        beta(complete_graph(20), 1)
 
 
 def test_spectrum_frozen_values():

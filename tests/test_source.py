@@ -1,6 +1,7 @@
 """Static checks on the package source, parsed with ``ast``: every
-imported name is used, every witness is built in ``witness``, and only
-functions with a stated depth bound call themselves."""
+imported name is used, every private top-level name is read, every witness
+is built in ``witness``, and only functions with a stated depth bound call
+themselves."""
 
 from __future__ import annotations
 
@@ -68,6 +69,50 @@ def test_the_unused_import_check_sees_an_unused_name():
     tree = ast.parse("import os\nfrom typing import List, Tuple\n"
                      "__all__ = ['Tuple']\nx: List = os.sep\nimport sys\n")
     assert _unused_imports(tree) == [(5, "sys")]
+
+
+def _unread_private_names(trees: dict) -> list:
+    """The private names that a module defines at its top level, as a
+    constant, function or class, and that no module reads, by name or as
+    an attribute."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", "")]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    return sorted(unread)
+
+
+def test_every_private_name_is_read():
+    trees = {path.stem: _tree(path) for path in MODULES}
+    assert _unread_private_names(trees) == []
+
+
+def test_the_private_name_check_sees_an_unread_name():
+    trees = {
+        "a": ast.parse("_CAP = 3\n_UNUSED: int = 4\n__all__ = []\n"
+                       "def _helper():\n    return _CAP\n"
+                       "class _Gone:\n    pass\n_left = _right = 0\n"),
+        "b": ast.parse("from a import _helper\nimport a\n"
+                       "x = _helper() + a._right\n"),
+    }
+    assert _unread_private_names(trees) == ["a._Gone", "a._UNUSED", "a._left"]
 
 
 def _self_calls(tree: ast.Module, module: str) -> list:

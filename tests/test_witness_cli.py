@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (child_env, cycle_graph, functional_digraph,
-                      looped_to_zero, path_graph)
+                      looped_to_zero, path_graph, petersen)
 from semicayley import (
     Budget,
     Digraph,
@@ -406,6 +406,13 @@ def test_cli_invariants_regular_graph(monkeypatch, capsys):
     assert abs(float(lines["lambda"]) - 1.618034) < 1e-5
 
 
+def test_cli_invariants_beta_two_on_petersen(monkeypatch, capsys):
+    code, out, _ = run_cli(["invariants", "--beta", "2"],
+                           format_graph(petersen()), monkeypatch, capsys)
+    assert code == 0
+    assert "beta[2]\t10" in out.splitlines()
+
+
 def test_cli_embed_directed_and_undirected(monkeypatch, capsys):
     code, out, _ = run_cli(["embed"], "3 directed\n0 1\n1 2\n2 0\n",
                            monkeypatch, capsys)
@@ -611,6 +618,20 @@ def test_cli_gen_accepts_families_at_the_cap(monkeypatch, capsys):
     assert code == 0 and out.startswith("3 undirected\n")
     code, out, err = run_cli(["gen", "threshold", "--seq", "idd"], capsys=capsys)
     assert (code, out) == (1, "") and err.startswith("error: gen builds")
+
+
+def test_cli_gen_threshold_is_capped_by_its_table(capsys):
+    """``gen threshold`` prints an n x n table, so it takes the
+    ``construct-zelinka`` cap of 512 vertices, not 4096."""
+    assert MAX_ORDER["construct-zelinka"] == 512
+    code, out, err = run_cli(["gen", "threshold", "--seq", "i" * 512],
+                             capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: gen builds families of up to 512 vertices; "
+                   "this threshold would have more\n")
+    code, out, _ = run_cli(["gen", "threshold", "--seq", "i" * 511],
+                           capsys=capsys)
+    assert code == 0 and out.startswith("512 undirected\n")
 
 
 def test_cli_gen_gkl_prints_a_large_outregular_digraph(capsys):
